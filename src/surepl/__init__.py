@@ -40,7 +40,7 @@ from .harness import (
     nested_cross_validate,
     t_test_two_sample,
 )
-from .kernel import KernelConfig, gram_matrix, mean_pairwise_distance
+from .kernel import gram_matrix, mean_pairwise_distance
 from .ridge import (
     KernelModel,
     LinearModel,
@@ -51,7 +51,7 @@ from .ridge import (
     model_outputs,
     save_model,
 )
-from .training import TrainConfig, TrainTrace, predict, score_outputs, train
+from .training import TrainConfig, TrainTrace, predict, train
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "ExperimentReport",
     "GridSearchResult",
     "InfeasibleSupportError",
-    "KernelConfig",
     "KernelModel",
     "KnnConfig",
     "LinearModel",
@@ -91,7 +90,6 @@ __all__ = [
     "predict",
     "save_dataset",
     "save_model",
-    "score_outputs",
     "solve_op_exact",
     "solve_opi",
     "solve_ops",

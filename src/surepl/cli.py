@@ -29,7 +29,6 @@ from .harness import (
     t_test_two_sample,
     write_labels,
 )
-from .kernel import DEFAULT_PAIR_CAP
 from .ridge import load_model, save_model
 from .training import TrainConfig, predict, train
 
@@ -61,7 +60,6 @@ def _train_config(args) -> TrainConfig:
         tol=args.tol,
         init=args.init,
         sigma_override=args.sigma,
-        sigma_cap=args.sigma_cap,
         seed=args.seed,
     )
 
@@ -70,8 +68,6 @@ def _add_train_flags(sp, with_seed=True):
     sp.add_argument("--lambda", dest="lam", type=float, default=0.3)
     sp.add_argument("--beta", type=float, default=0.05)
     sp.add_argument("--sigma", type=float, default=None, help="bandwidth override")
-    sp.add_argument("--sigma-cap", type=int, default=DEFAULT_PAIR_CAP,
-                    help="max pairs used exactly by the bandwidth heuristic")
     sp.add_argument("--max-iter", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--init", choices=("normalized", "literal"), default="normalized")

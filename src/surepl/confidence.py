@@ -234,6 +234,15 @@ def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
     if (sizes == 0).any():
         bad = int(np.flatnonzero(sizes == 0)[0])
         raise InfeasibleSupportError(f"row {bad} has an empty candidate set")
+    return _update_rows(Q, Yb, lam)
+
+
+def _update_rows(Q: np.ndarray, Yb: np.ndarray, lam: float) -> np.ndarray:
+    """update_confidence_matrix without its checks.
+
+    Yb is the bool candidate mask, with at least one candidate per row; the
+    training loop computes it once from a PLDataset, which guarantees that.
+    """
     m, l = Q.shape
     rows = np.arange(m)
 

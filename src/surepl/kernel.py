@@ -2,52 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-__all__ = ["KernelConfig", "DEFAULT_PAIR_CAP", "mean_pairwise_distance", "gram_matrix"]
-
-# All unordered pairs are used exactly up to this many; beyond it the heuristic
-# switches to seeded uniform subsampling (m ~ 3000 instances).
-DEFAULT_PAIR_CAP = 4_500_000
+__all__ = ["mean_pairwise_distance", "gram_matrix"]
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Bandwidth settings; sigma=None means "use the mean-distance heuristic"."""
+def mean_pairwise_distance(X) -> float:
+    """Mean Euclidean distance over all distinct unordered instance pairs.
 
-    sigma: float | None = None
-    subsample_pairs: int = DEFAULT_PAIR_CAP
-
-    def __post_init__(self):
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.subsample_pairs < 1:
-            raise ValueError("subsample_pairs must be positive")
-
-
-def mean_pairwise_distance(X, cap: int = DEFAULT_PAIR_CAP, seed: int = 0) -> float:
-    """Mean Euclidean distance over distinct unordered instance pairs.
-
-    Exact when m(m-1)/2 <= cap, otherwise the mean over cap pairs sampled
-    uniformly (seeded; duplicates allowed).  Raises if the mean is zero, which
-    would make the Gaussian bandwidth degenerate.
+    Raises if the mean is zero, which would make the Gaussian bandwidth
+    degenerate.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two instances")
-    m = X.shape[0]
-    n_pairs = m * (m - 1) // 2
-    if n_pairs <= cap:
-        mean = float(pdist(X).mean())
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, m, size=cap)
-        jj = rng.integers(0, m - 1, size=cap)
-        jj = jj + (jj >= ii)  # uniform over ordered pairs with i != j
-        mean = float(np.sqrt(((X[ii] - X[jj]) ** 2).sum(axis=1)).mean())
+    mean = float(pdist(X).mean())
     if mean <= 0.0:
         raise ValueError("degenerate bandwidth (zero mean distance)")
     return mean

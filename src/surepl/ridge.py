@@ -2,23 +2,26 @@
 
 Both fits minimize a squared loss against the confidence matrix P plus a
 ridge penalty, with an unpenalized bias row.  Eliminating the bias leaves a
-single dense linear system whose matrix carries a rank-one centering term and
-is therefore not symmetric; it is solved by LU with partial pivoting, and a
+single dense linear system, symmetric positive definite once written with
+the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
+(H K H + beta I) A = H P.  Both are solved through a Cholesky factor, and a
 1-norm condition estimate guards against effectively singular systems.
 
-The kernel system matrix K + beta*I - (1 1^T K) / m is constant across
-alternating-minimization iterations, so `KernelRidgeSolver` factors it once
-and re-solves for each new P.
+The kernel system matrix is constant across alternating-minimization
+iterations, so `KernelRidgeSolver` factors it once, re-solves for each new P
+and scores the training set.  All of that runs in scipy's BLAS/LAPACK: numpy
+and scipy may each bundle their own threaded BLAS, and alternating between
+the two makes their worker threads compete for the same cores.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg.blas import dgemm, dgemv
 
 from .kernel import gram_matrix
 
@@ -96,24 +99,31 @@ class KernelModel:
         object.__setattr__(self, "sigma", float(self.sigma))
 
 
-def _lu_with_cond(M: np.ndarray, what: str):
+def _cholesky_with_cond(M: np.ndarray, what: str):
+    """Cholesky factor of the symmetric matrix M (overwritten) and its rcond.
+
+    A matrix that is not positive definite has no Cholesky factor; it is
+    reported like a singular one, with a condition estimate of zero.
+    """
     anorm = np.linalg.norm(M, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LU of a singular matrix warns; rcond handles it
-        lu, piv = lu_factor(M)
-    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
+    try:
+        factor = cho_factor(M, overwrite_a=True)
+    except LinAlgError:
+        rcond, info = 0.0, 0
+    else:
+        pocon = get_lapack_funcs(("pocon",), (factor[0],))[0]
+        rcond, info = pocon(factor[0], anorm)  # upper factor, as cho_factor returns by default
     if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystemError(
             f"singular {what} system matrix (reciprocal 1-norm condition estimate {rcond:.3e})"
         )
-    return (lu, piv), float(rcond)
+    return factor, float(rcond)
 
 
 def fit_linear(X, P, beta: float) -> LinearModel:
     """Closed-form minimizer of ||X W + 1 b^T - P||_F^2 + beta ||W||_F^2.
 
-    W = (X^T X + beta I - X^T 1 1^T X / m)^(-1) (X^T P - X^T 1 1^T P / m),
+    W = (X^T H X + beta I)^(-1) X^T H P with H = I - 1 1^T / m,
     b = (P^T 1 - W^T X^T 1) / m.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -127,14 +137,15 @@ def fit_linear(X, P, beta: float) -> LinearModel:
     psum = P.sum(axis=0)
     M = X.T @ X + beta * np.eye(n) - np.outer(xsum, xsum) / m
     rhs = X.T @ P - np.outer(xsum, psum) / m
-    factors, _ = _lu_with_cond(M, "linear ridge")
-    W = lu_solve(factors, rhs)
+    factor, _ = _cholesky_with_cond(M, "linear ridge")
+    W = cho_solve(factor, rhs)
     b = (psum - W.T @ xsum) / m
     return LinearModel(W, b)
 
 
 class KernelRidgeSolver:
-    """Factors the kernel ridge system once; solve() refits for any P."""
+    """Factors the kernel ridge system once; solve() refits for any P and
+    outputs() scores the training set."""
 
     def __init__(self, K, beta: float):
         K = np.asarray(K, dtype=np.float64)
@@ -142,30 +153,49 @@ class KernelRidgeSolver:
             raise ValueError("K must be square")
         if not beta > 0:
             raise ValueError("beta must be positive")
-        asym = float(np.abs(K - K.T).max())
+        # the buffer later holds H K H + beta I; Fortran order lets LAPACK factor it in place
+        M = np.subtract(K, K.T, order="F")
+        asym = float(np.abs(M, out=M).max())
         if asym > SYMMETRY_TOL:
             raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
         m = K.shape[0]
         self.m = m
+        self.K = K
         self.ksum = K.sum(axis=0)  # K^T 1 == K 1 up to the symmetry tolerance
-        M = K + beta * np.eye(m) - np.outer(np.ones(m), self.ksum) / m
-        self._factors, self.rcond = _lu_with_cond(M, "kernel ridge")
+        # H K H = K - 1 r^T - r 1^T + mean(K) 1 1^T with r = K 1 / m
+        r = self.ksum / m
+        np.subtract(K, r, out=M)
+        M -= r[:, None]
+        M += r.mean()
+        M.flat[:: m + 1] += beta
+        self._factor, self.rcond = _cholesky_with_cond(M, "kernel ridge")
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         P = np.asarray(P, dtype=np.float64)
         if P.ndim != 2 or P.shape[0] != self.m:
             raise ValueError("P must have one row per training instance")
         psum = P.sum(axis=0)
-        A = lu_solve(self._factors, P - np.outer(np.ones(self.m), psum) / self.m)
-        b = (psum - A.T @ self.ksum) / self.m
+        A = cho_solve(self._factor, P - psum / self.m)
+        b = (psum - dgemv(1.0, A, self.ksum, trans=1)) / self.m
         return A, b
+
+    def outputs(self, A, b) -> np.ndarray:
+        """Training-set scores K @ A + b.
+
+        K.T is a Fortran-ordered view of K, so dgemm reads K without a copy.
+        """
+        return dgemm(1.0, self.K.T, A, trans_a=True) + b
 
 
 def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimizer of ||K A + 1 b^T - P||_F^2 + beta tr(A^T K A).
 
-    A = (K + beta I - 1 1^T K / m)^(-1) (P - 1 1^T P / m),
+    A = (H K H + beta I)^(-1) H P with H = I - 1 1^T / m,
     b = (P^T 1 - A^T K^T 1) / m.
+
+    For symmetric K this is the solution of the stationarity condition
+    (H K + beta I) A = H P: multiplying it by 1^T gives beta 1^T A = 0, so
+    A = H A and H K A = H K H A.
     """
     return KernelRidgeSolver(K, beta).solve(P)
 
@@ -204,11 +234,13 @@ def load_model(path) -> KernelModel:
         lines.pop()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"not a model file: expected header {MODEL_MAGIC!r}")
-    head = lines[1].split()
-    if len(head) != 4:
-        raise ValueError("malformed model header: expected '<m> <n> <l> <sigma>'")
-    m, n, l = int(head[0]), int(head[1]), int(head[2])
-    sigma = float(head[3])
+    try:
+        m, n, l, sigma = (lines[1] if len(lines) > 1 else "").split()
+        m, n, l, sigma = int(m), int(n), int(l), float(sigma)
+    except ValueError as exc:
+        raise ValueError(
+            f"malformed model header at line 2 ({exc}): expected '<m> <n> <l> <sigma>'"
+        ) from None
     if len(lines) != 2 + 2 * m + 1:
         raise ValueError(f"malformed model file: expected {2 + 2 * m + 1} lines, found {len(lines)}")
 

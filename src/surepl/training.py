@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
-from .confidence import update_confidence_matrix
+from .confidence import _update_rows
 from .data import PLDataset
-from .kernel import DEFAULT_PAIR_CAP, gram_matrix, mean_pairwise_distance
+from .kernel import gram_matrix, mean_pairwise_distance
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
-__all__ = ["TrainConfig", "TrainTrace", "train", "predict", "score_outputs"]
+__all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
 
 INIT_MODES = ("normalized", "literal")
 
@@ -32,10 +33,10 @@ class TrainConfig:
     init:   "normalized" starts from row-normalized candidate indicators;
             "literal" starts from the raw 0/1 indicators (only the first ridge
             fit sees them; the first row update restores feasibility).
-    sigma_override: fixed kernel bandwidth; default is the mean pairwise
-            distance heuristic, subsampled past sigma_cap pairs.
-    seed:   drives the bandwidth subsampling; training is otherwise
-            deterministic.
+    sigma_override: fixed kernel bandwidth; default is the exact mean
+            pairwise distance heuristic.
+    seed:   recorded with the config (the harness sets one per fold) but not
+            read by training, which is deterministic given the dataset.
     """
 
     lam: float = 0.3
@@ -44,7 +45,6 @@ class TrainConfig:
     tol: float = 1e-3
     init: str = "normalized"
     sigma_override: float | None = None
-    sigma_cap: int = DEFAULT_PAIR_CAP
     seed: int = 0
 
     def __post_init__(self):
@@ -83,13 +83,14 @@ def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, Trai
     (the 1x1 Gram matrix is [[1]] for any bandwidth).
     """
     X = d.features
+    mask = d.candidates.astype(bool)  # PLDataset guarantees 0/1 rows, none empty
     Y = d.candidates.astype(np.float64)
     if cfg.sigma_override is not None:
         sigma = float(cfg.sigma_override)
     elif d.m == 1:
         sigma = 1.0
     else:
-        sigma = mean_pairwise_distance(X, cfg.sigma_cap, cfg.seed)
+        sigma = mean_pairwise_distance(X)
     K = gram_matrix(X, X, sigma)
     solver = KernelRidgeSolver(K, cfg.beta)
 
@@ -104,9 +105,9 @@ def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, Trai
     b = np.zeros(d.l)
     for _ in range(cfg.max_iter):
         A, b = solver.solve(P)
-        Q = K @ A + b
-        P_new = update_confidence_matrix(Q, d.candidates, cfg.lam)
-        delta = float(np.linalg.norm(P_new - P))
+        P_new = _update_rows(solver.outputs(A, b), mask, cfg.lam)
+        # scipy's BLAS, like every other BLAS call in the loop (see ridge.py)
+        delta = float(dnrm2((P_new - P).ravel(order="K")))
         deltas.append(delta)
         P = P_new
         if delta <= cfg.tol:
@@ -116,11 +117,6 @@ def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, Trai
     return model, P, TrainTrace(tuple(deltas), len(deltas), converged)
 
 
-def score_outputs(model: KernelModel, X_query) -> np.ndarray:
-    """Pre-argmax label scores for query rows; alias of ridge.model_outputs."""
-    return model_outputs(model, X_query)
-
-
 def predict(model: KernelModel, X_query) -> np.ndarray:
     """Predicted 0-based labels: per-row argmax of the scores, ties to the lowest."""
-    return np.argmax(score_outputs(model, X_query), axis=1)
+    return np.argmax(model_outputs(model, X_query), axis=1)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple and derives expected values through a
 different route than the library: exhaustive grids, bisection water-filling,
-long-run gradient descent, quadrature, and full-sort neighbor search.  None
+long-run gradient descent, LU solves of the unreduced ridge systems,
+quadrature, and full-sort neighbor search.  None
 of it calls into the code paths it checks.
 """
 
@@ -104,6 +105,31 @@ def kernel_objective(K, P, beta, A, b):
 def kernel_gradient(K, P, beta, A, b):
     R = K @ A + b - P
     return 2.0 * (K @ R) + 2.0 * beta * (K @ A), 2.0 * R.sum(axis=0)
+
+
+def solve_fit_linear(X, P, beta):
+    """Linear ridge fit from the bias-augmented normal equations, solved by LU.
+
+    Unknowns are W and b together:
+    [[X^T X + beta I, X^T 1], [1^T X, m]] [W; b^T] = [X^T P; 1^T P].
+    """
+    m, n = X.shape
+    Z = np.concatenate([X, np.ones((m, 1))], axis=1)
+    M = Z.T @ Z
+    M[:n, :n] += beta * np.eye(n)
+    Wb = np.linalg.solve(M, Z.T @ P)
+    return Wb[:n], Wb[n]
+
+
+def solve_fit_kernel(K, P, beta):
+    """Kernel ridge fit from the nonsymmetric system (H K + beta I) A = H P, solved by LU.
+
+    H = I - 1 1^T / m; the bias is the column mean of the residual P - K A.
+    """
+    m = K.shape[0]
+    H = np.eye(m) - 1.0 / m
+    A = np.linalg.solve(H @ K + beta * np.eye(m), H @ P)
+    return A, (P - K @ A).mean(axis=0)
 
 
 def gd_fit_linear(X, P, beta, max_steps=1_000_000):

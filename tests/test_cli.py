@@ -219,6 +219,14 @@ class TestErrorPaths:
                      "--model-out", str(tmp_path / "m.model")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_header_only_model(self, tmp_path, pl_file, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("sure-model 1\n")
+        assert main(["predict", "--model", str(model), "--data", str(pl_file),
+                     "--out", str(tmp_path / "pred.txt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line 2" in err[0]
+
     def test_malformed_data_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.pld"
         bad.write_text("pld 1\n1 1 2\n0.0 |  \n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from surepl.kernel import KernelConfig, gram_matrix, mean_pairwise_distance
+from surepl.kernel import gram_matrix, mean_pairwise_distance
 
 
 class TestMeanPairwiseDistance:
@@ -33,29 +33,6 @@ class TestMeanPairwiseDistance:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="two instances"):
             mean_pairwise_distance(np.ones((1, 3)))
-
-    def test_exact_path_when_cap_covers_all_pairs(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((30, 4))
-        exact = mean_pairwise_distance(X, cap=30 * 29 // 2)
-        roomy = mean_pairwise_distance(X, cap=10**9)
-        assert exact == roomy
-
-    def test_sampled_path_deterministic_and_close(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((200, 3))
-        exact = mean_pairwise_distance(X, cap=10**9)
-        s1 = mean_pairwise_distance(X, cap=5000, seed=42)
-        s2 = mean_pairwise_distance(X, cap=5000, seed=42)
-        assert s1 == s2
-        assert s1 == pytest.approx(exact, rel=0.05)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            KernelConfig(sigma=0.0)
-        with pytest.raises(ValueError):
-            KernelConfig(subsample_pairs=0)
-        assert KernelConfig().sigma is None
 
 
 class TestGramMatrix:

@@ -74,6 +74,17 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_linear(np.ones((2, 2)), np.ones((2, 2)), beta=0.0)
 
+    def test_matches_augmented_normal_equations(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            m = int(rng.integers(2, 60))
+            X, P = random_problem(rng, m, int(rng.integers(1, 8)), int(rng.integers(2, 6)))
+            beta = float(10 ** rng.uniform(-2, 1))
+            model = fit_linear(X, P, beta)
+            W_ref, b_ref = oracles.solve_fit_linear(X, P, beta)
+            assert np.linalg.norm(model.W - W_ref) <= 1e-9 * np.linalg.norm(W_ref)
+            assert np.linalg.norm(model.b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+
 
 class TestFitKernel:
     def test_m_equals_one_bias_only(self):
@@ -154,6 +165,46 @@ class TestFitKernel:
         with pytest.raises(SingularSystemError, match="condition estimate"):
             fit_kernel(K, np.ones((2, 2)) * 0.5, beta=beta)
 
+    def test_not_positive_definite_names_condition(self):
+        # K is symmetric with eigenvalue -5 on v = (1, -1, 0) / sqrt(2), which is
+        # orthogonal to 1, so H K H + beta I has eigenvalue beta - 5 < 0
+        v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        K = np.eye(3) - 6.0 * np.outer(v, v)
+        with pytest.raises(SingularSystemError, match="condition estimate"):
+            fit_kernel(K, np.full((3, 2), 0.5), beta=0.1)
+
+    def test_matches_nonsymmetric_system(self):
+        rng = np.random.default_rng(16)
+        for trial in range(40):
+            m = int(rng.integers(2, 61))
+            if trial % 2:
+                X = rng.standard_normal((m, int(rng.integers(1, 6))))
+                K = gram_matrix(X, X, sigma=float(rng.uniform(0.3, 3.0)))
+            else:
+                Z = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+                K = Z @ Z.T
+            P = rng.random((m, int(rng.integers(2, 6))))  # one column would make H P = 0
+            P /= P.sum(axis=1, keepdims=True)
+            beta = float(10 ** rng.uniform(-2, 0.5))
+            A, b = fit_kernel(K, P, beta)
+            A_ref, b_ref = oracles.solve_fit_kernel(K, P, beta)
+            assert np.linalg.norm(A - A_ref) <= 1e-9 * np.linalg.norm(A_ref)
+            assert np.linalg.norm(b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+            assert np.abs(A.sum(axis=0)).max() <= 1e-10 * np.linalg.norm(A)
+
+    def test_outputs_equal_gram_product(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 7, 60):
+            X = rng.standard_normal((m, 3))
+            K = gram_matrix(X, X, sigma=1.1)
+            solver = KernelRidgeSolver(K, beta=0.2)
+            fitted = solver.solve(rng.random((m, 4)))
+            arbitrary = (rng.standard_normal((m, 4)), rng.standard_normal(4))
+            for A, b in (fitted, arbitrary):
+                ref = K @ A + b
+                scale = np.abs(K) @ np.abs(A) + np.abs(b)
+                assert np.all(np.abs(solver.outputs(A, b) - ref) <= 1e-12 * scale)
+
     def test_solver_reuse_matches_single_shot(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((10, 2))
@@ -226,6 +277,13 @@ class TestModelSerialization:
         path = tmp_path / "bad.model"
         path.write_text("who knows\n")
         with pytest.raises(ValueError, match="model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", ["", "3 2 x 1.5", "3 2.5 2 1.5", "3 2 2", "3 2 2 wide"])
+    def test_bad_size_line_names_line_2(self, tmp_path, header):
+        path = tmp_path / "bad.model"
+        path.write_text("sure-model 1\n" + (header + "\n" if header else ""))
+        with pytest.raises(ValueError, match="line 2"):
             load_model(path)
 
     def test_finite_validation(self):

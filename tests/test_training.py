@@ -6,9 +6,9 @@ import pytest
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
-from surepl.ridge import KernelModel, fit_kernel
+from surepl.ridge import KernelModel, fit_kernel, model_outputs
 from surepl.confidence import update_confidence_matrix
-from surepl.training import TrainConfig, TrainTrace, predict, score_outputs, train
+from surepl.training import TrainConfig, TrainTrace, predict, train
 
 
 def supervised_blobs(m=60, classes=3, seed=0):
@@ -41,7 +41,7 @@ class TestTrain:
         model, P, trace = train(d, TrainConfig(lam=0.4, beta=0.5, max_iter=100, tol=1e-9))
         assert trace.converged
         assert np.allclose(P, [[1.0, 0.0, 0.0, 0.0]], atol=1e-9)
-        out = score_outputs(model, d.features)
+        out = model_outputs(model, d.features)
         assert np.allclose(out, P, atol=1e-9)
 
     def test_blobs_converge_and_deltas_settle(self):
@@ -169,12 +169,3 @@ class TestPredict:
         model, _, _ = train(d, TrainConfig(lam=0.0, beta=0.001, max_iter=5, seed=8))
         acc = float(np.mean(predict(model, d.features) == d.truth))
         assert acc >= 0.99
-
-    def test_score_outputs_is_model_outputs(self):
-        rng = np.random.default_rng(30)
-        model = KernelModel(rng.standard_normal((4, 2)), rng.standard_normal((4, 3)),
-                            rng.standard_normal(3), 1.2)
-        q = rng.standard_normal((3, 2))
-        from surepl.ridge import model_outputs
-
-        assert np.array_equal(score_outputs(model, q), model_outputs(model, q))
