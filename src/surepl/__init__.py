@@ -13,7 +13,6 @@ from .confidence import (
     ConfidenceVector,
     InfeasibleSupportError,
     QPResult,
-    oracle_project,
     solve_op_exact,
     solve_opi,
     solve_ops,
@@ -85,7 +84,6 @@ __all__ = [
     "mean_pairwise_distance",
     "model_outputs",
     "nested_cross_validate",
-    "oracle_project",
     "plknn_predict",
     "predict",
     "save_dataset",

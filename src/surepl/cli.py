@@ -60,19 +60,16 @@ def _train_config(args) -> TrainConfig:
         tol=args.tol,
         init=args.init,
         sigma_override=args.sigma,
-        seed=args.seed,
     )
 
 
-def _add_train_flags(sp, with_seed=True):
+def _add_train_flags(sp):
     sp.add_argument("--lambda", dest="lam", type=float, default=0.3)
     sp.add_argument("--beta", type=float, default=0.05)
     sp.add_argument("--sigma", type=float, default=None, help="bandwidth override")
     sp.add_argument("--max-iter", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--init", choices=("normalized", "literal"), default="normalized")
-    if with_seed:
-        sp.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_gen(args) -> int:
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("cv", help="k-fold cross-validation")
     cv.add_argument("--data", required=True)
     cv.add_argument("--algo", choices=("sure", "plknn"), default="sure")
-    _add_train_flags(cv, with_seed=False)
+    _add_train_flags(cv)
     cv.add_argument("--k", type=int, default=5, help="plknn neighbor count")
     cv.add_argument("--lambda-grid", type=_float_list, default=None,
                     help="nested mode: per-fold inner grid search over these lambdas")
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--lambda-grid", type=_float_list, default=list(DEFAULT_GRID))
     gr.add_argument("--beta-grid", type=_float_list, default=list(DEFAULT_GRID))
     gr.add_argument("--inner-folds", type=int, required=True)
-    _add_train_flags(gr, with_seed=False)
+    _add_train_flags(gr)
     gr.add_argument("--seed", type=int, required=True)
     gr.set_defaults(func=_cmd_grid)
 

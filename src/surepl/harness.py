@@ -2,8 +2,9 @@
 grid search, and the report / label-file plumbing used by the CLI.
 
 Everything is reproducible byte for byte from (inputs, flags, seed): fold
-splits and per-fold training seeds derive from a single master generator, and
-reports serialize with stable key ordering.
+splits and the per-fold inner grid-search seeds of nested cross-validation
+derive from a single master generator, and reports serialize with stable key
+ordering.
 """
 
 from __future__ import annotations
@@ -144,17 +145,19 @@ class ExperimentReport:
 
 
 def _fold_plan(d: PLDataset, folds: int, seed: int):
-    """Master-seeded split plus one independent training seed per fold."""
+    """Master-seeded split plus one independent seed per fold.
+
+    Nested cross-validation seeds each fold's inner grid search with it.
+    """
     master = np.random.default_rng(seed)
     split_seed = int(master.integers(2**63 - 1))
     fold_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]
     return split_folds(d, folds, split_seed), fold_seeds
 
 
-def _fit_and_predict(d_train: PLDataset, X_test, algo: str, params, fold_seed: int):
+def _fit_and_predict(d_train: PLDataset, X_test, algo: str, params):
     if algo == "sure":
-        cfg = replace(params, seed=fold_seed)
-        model, _, trace = train(d_train, cfg)
+        model, _, trace = train(d_train, params)
         return predict(model, X_test), trace
     if algo == "plknn":
         return plknn_predict(d_train, X_test, params), None
@@ -176,10 +179,10 @@ def cross_validate(
     """
     if d.truth is None:
         raise ValueError("cross-validation requires ground truth for scoring")
-    parts, fold_seeds = _fold_plan(d, folds, seed)
+    parts, _ = _fold_plan(d, folds, seed)
     accs, traces = [], []
-    for (tr, te), fseed in zip(parts, fold_seeds):
-        pred, trace = _fit_and_predict(d.subset(tr), d.features[te], algo, params, fseed)
+    for tr, te in parts:
+        pred, trace = _fit_and_predict(d.subset(tr), d.features[te], algo, params)
         accs.append(accuracy(pred, d.truth[te]))
         if trace is not None:
             traces.append(trace)
@@ -241,7 +244,7 @@ def nested_cross_validate(
     for (tr, te), fseed in zip(parts, fold_seeds):
         d_tr = d.subset(tr)
         gs = grid_search(d_tr, lam_grid, beta_grid, inner_folds, fseed, base)
-        cfg = replace(base, lam=gs.lam, beta=gs.beta, seed=fseed)
+        cfg = replace(base, lam=gs.lam, beta=gs.beta)
         model, _, _ = train(d_tr, cfg)
         accs.append(accuracy(predict(model, d.features[te]), d.truth[te]))
         chosen.append({"lam": gs.lam, "beta": gs.beta})
@@ -350,7 +353,10 @@ def read_labels(path) -> np.ndarray:
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
-        v = int(raw)
+        try:
+            v = int(raw)
+        except ValueError:
+            raise ValueError(f"label {raw.strip()!r} is not an integer at line {lineno}") from None
         if v < 1:
             raise ValueError(f"label must be >= 1 at line {lineno}")
         out.append(v - 1)
@@ -368,10 +374,13 @@ def load_values_map(path) -> dict[int, float]:
         parts = raw.split()
         if len(parts) != 2:
             raise ValueError(f"expected '<label> <value>' at line {lineno}")
-        label = int(parts[0])
+        try:
+            label, value = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"malformed values file: {exc} at line {lineno}") from None
         if label < 1:
             raise ValueError(f"label must be >= 1 at line {lineno}")
-        values[label - 1] = float(parts[1])
+        values[label - 1] = value
     if not values:
         raise ValueError("empty values file")
     return values

@@ -37,5 +37,7 @@ def gram_matrix(X_rows, X_cols, sigma: float) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {X_rows.shape} rows vs {X_cols.shape} columns"
         )
+    # scaled and exponentiated in place, so K is the only m x n array held
     sq = cdist(X_rows, X_cols, "sqeuclidean")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    sq /= -(2.0 * sigma * sigma)
+    return np.exp(sq, out=sq)

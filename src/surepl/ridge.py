@@ -105,13 +105,13 @@ def _cholesky_with_cond(M: np.ndarray, what: str):
     A matrix that is not positive definite has no Cholesky factor; it is
     reported like a singular one, with a condition estimate of zero.
     """
-    anorm = np.linalg.norm(M, 1)
+    lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
+    anorm = lange("1", M)  # reads M in place, with no m x m temporary
     try:
         factor = cho_factor(M, overwrite_a=True)
     except LinAlgError:
         rcond, info = 0.0, 0
     else:
-        pocon = get_lapack_funcs(("pocon",), (factor[0],))[0]
         rcond, info = pocon(factor[0], anorm)  # upper factor, as cho_factor returns by default
     if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystemError(
@@ -241,6 +241,11 @@ def load_model(path) -> KernelModel:
         raise ValueError(
             f"malformed model header at line 2 ({exc}): expected '<m> <n> <l> <sigma>'"
         ) from None
+    if min(m, n, l) < 1 or not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(
+            f"malformed model header at line 2: sizes must be >= 1 and sigma finite and "
+            f"positive, got {lines[1]!r}"
+        )
     if len(lines) != 2 + 2 * m + 1:
         raise ValueError(f"malformed model file: expected {2 + 2 * m + 1} lines, found {len(lines)}")
 
@@ -250,7 +255,10 @@ def load_model(path) -> KernelModel:
             vals = lines[start + i].split()
             if len(vals) != width:
                 raise ValueError(f"malformed model file: bad row width at line {start + i + 1}")
-            out[i] = [float(v) for v in vals]
+            try:
+                out[i] = [float(v) for v in vals]
+            except ValueError as exc:
+                raise ValueError(f"malformed model file: {exc} at line {start + i + 1}") from None
         return out
 
     X = rows(2, m, n)

@@ -35,8 +35,8 @@ class TrainConfig:
             fit sees them; the first row update restores feasibility).
     sigma_override: fixed kernel bandwidth; default is the exact mean
             pairwise distance heuristic.
-    seed:   recorded with the config (the harness sets one per fold) but not
-            read by training, which is deterministic given the dataset.
+
+    Training is deterministic given the dataset and the config.
     """
 
     lam: float = 0.3
@@ -45,7 +45,6 @@ class TrainConfig:
     tol: float = 1e-3
     init: str = "normalized"
     sigma_override: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:

@@ -2,15 +2,18 @@
 
 Everything here is deliberately simple and derives expected values through a
 different route than the library: exhaustive grids, bisection water-filling,
-long-run gradient descent, LU solves of the unreduced ridge systems,
-quadrature, and full-sort neighbor search.  None
-of it calls into the code paths it checks.
+a scalar active-set enumeration and projected gradient for the anchored
+projections, long-run gradient descent, LU solves of the unreduced ridge
+systems, quadrature, and full-sort neighbor search.  None of it calls into
+the code paths it checks.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from surepl.confidence import InfeasibleSupportError
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,166 @@ def grid_bruteforce_op(q, y, lam, step=1e-3):
             val = (t - qs[a]) ** 2 + ((p_other - q_other) ** 2).sum() - lam * t
             best = min(best, val)
     return off_const + float(best)
+
+
+# ---------------------------------------------------------------------------
+# anchored projections onto C(j) = {p : p_k <= p_j, sum(p) = 1, 0 <= p <= y}
+
+
+def _waterfill_theta(tied_sum: float, tau: int, rest: np.ndarray) -> float:
+    """Root of tied_sum - tau*theta + sum(max(rest - theta, 0)) = 1.
+
+    rest is sorted descending.  The left side is continuous and strictly
+    decreasing in theta, so exactly one breakpoint segment contains the root.
+    """
+    csum = 0.0
+    for a in range(rest.size + 1):
+        if a > 0:
+            csum += rest[a - 1]
+        theta = (tied_sum + csum - 1.0) / (tau + a)
+        hi = rest[a - 1] if a > 0 else np.inf
+        lo = rest[a] if a < rest.size else -np.inf
+        if lo - 1e-12 <= theta <= hi + 1e-12:
+            return theta
+    raise RuntimeError("water-filling failed to bracket the threshold")
+
+
+def active_set_projection(c, y, j: int) -> np.ndarray:
+    """Exact projection of c onto C(j) by a scalar dual active-set enumeration.
+
+    Enumerates tau = size of the group tied with the anchor.  For each tau the
+    remaining coordinates are water-filled on the simplex slack; the first tau
+    passing primal feasibility and the dual sign conditions is the optimum
+    (the projection is unique, so exactly one trial is accepted up to
+    boundary ties).
+    """
+    c = np.asarray(c, dtype=np.float64)
+    y = np.asarray(y)
+    l = c.size
+    p = np.zeros(l)
+    sup = np.flatnonzero(y)
+    if sup.size == 1:
+        p[j] = 1.0
+        return p
+    others = sup[sup != j]
+    order = others[np.argsort(-c[others], kind="stable")]
+    d = c[order]
+    cj = c[j]
+    prefix = np.concatenate(([0.0], np.cumsum(d)))
+    for tau in range(1, sup.size + 1):
+        tied_sum = cj + prefix[tau - 1]
+        tied_mean = tied_sum / tau
+        rest = d[tau - 1 :]
+        # dual feasibility: every tied coordinate must sit at or above the mean
+        if tau > 1 and d[tau - 2] < tied_mean - 1e-12:
+            continue
+        # primal feasibility: the next untied coordinate must not exceed the mean
+        if rest.size and rest[0] > tied_mean + 1e-12:
+            continue
+        theta = _waterfill_theta(tied_sum, tau, rest)
+        t = tied_mean - theta
+        if t < -1e-12:
+            continue
+        t = max(t, 0.0)
+        p[j] = t
+        p[order[: tau - 1]] = t
+        p[order[tau - 1 :]] = np.minimum(np.maximum(rest - theta, 0.0), t)
+        return p
+    raise RuntimeError("anchored projection found no consistent active set")
+
+
+def active_set_opi(q, y, lam, j: int) -> np.ndarray:
+    """Minimizer of ||p - q||^2 - lam * p_j over C(j): the projection of q + (lam / 2) e_j."""
+    c = np.array(q, dtype=np.float64)
+    c[j] += lam / 2.0
+    return active_set_projection(c, y, j)
+
+
+def _proj_capped_simplex(z: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Projection onto {0 <= p <= 1 on sup, 0 elsewhere, sum(p) = 1} by breakpoint scan."""
+    zs = z[sup]
+    bps = np.sort(np.concatenate([zs, zs - 1.0]))[::-1]
+    gs = np.minimum(np.maximum(zs[None, :] - bps[:, None], 0.0), 1.0).sum(axis=1)
+    k = int(np.searchsorted(gs, 1.0, side="left"))
+    if k >= gs.size:
+        theta = bps[-1] - (1.0 - gs[-1]) / sup.size
+    elif gs[k] == 1.0:
+        theta = bps[k]
+    else:
+        # root lies strictly inside (bps[k], bps[k-1]); slope is the active count there
+        mid = 0.5 * (bps[k] + bps[k - 1])
+        slope = int(((zs - mid > 0.0) & (zs - mid < 1.0)).sum())
+        theta = bps[k] - (1.0 - gs[k]) / max(slope, 1)
+    p = np.zeros_like(z)
+    p[sup] = np.minimum(np.maximum(zs - theta, 0.0), 1.0)
+    return p
+
+
+def _proj_anchor_cone(z: np.ndarray, j: int) -> np.ndarray:
+    """Projection onto {p : p_k <= p_j for all k}.
+
+    Largest coordinates pool with the anchor while they exceed the running
+    pooled mean; everything above the final level ties down to it.
+    """
+    vals = np.sort(np.delete(z, j))[::-1]
+    total = z[j]
+    cnt = 1
+    for v in vals:
+        if v > total / cnt:
+            total += v
+            cnt += 1
+        else:
+            break
+    t = total / cnt
+    p = np.minimum(z, t)
+    p[j] = t
+    return p
+
+
+def _feasibility_gap(p: np.ndarray, y: np.ndarray, j: int) -> float:
+    box = max(float((-p).max(initial=0.0)), float((p - y).max(initial=0.0)))
+    return max(box, abs(float(p.sum()) - 1.0), float((p - p[j]).max()))
+
+
+def oracle_project(c, y, anchor: int, max_iter: int = 100_000) -> np.ndarray:
+    """Slow reference projection of c onto C(anchor).
+
+    Projected gradient on 0.5*||p - c||^2 with diminishing steps; after every
+    step feasibility is restored by alternating projections between the
+    anchor-dominance cone and the capped simplex.  Stops early once iterates
+    stall, capped at max_iter steps.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    y = np.asarray(y).astype(np.uint8)
+    if y[anchor] == 0:
+        raise InfeasibleSupportError(f"anchor label {anchor} is not a candidate")
+    if y.sum() == 0:
+        raise InfeasibleSupportError("all-zero support: no candidate labels")
+    sup = np.flatnonzero(y)
+    yf = y.astype(np.float64)
+
+    def restore(z):
+        for _ in range(50):
+            z = _proj_anchor_cone(z, anchor)
+            z = _proj_capped_simplex(z, sup)
+            if _feasibility_gap(z, yf, anchor) < 1e-13:
+                break
+        return z
+
+    p = yf / sup.size
+    stall = 0
+    for it in range(max_iter):
+        step = 0.7 / np.sqrt(it + 1.0)
+        z = restore(p + step * (c - p))
+        if np.abs(z - p).max() < 1e-14:
+            stall += 1
+            if stall >= 3:
+                p = z
+                break
+        else:
+            stall = 0
+        p = z
+    return restore(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI subcommands: behavior, file formats, and byte-level determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ class TestTrainPredictEval:
         trace_path = tmp_path / "trace.csv"
         assert main(["train", "--data", str(pl_file), "--lambda", "0.3", "--beta", "0.05",
                      "--max-iter", "30", "--model-out", str(model_path),
-                     "--trace-out", str(trace_path), "--seed", "1"]) == 0
+                     "--trace-out", str(trace_path)]) == 0
         model = load_model(model_path)
         assert model.A.shape == (40, 3)
 
@@ -123,7 +125,7 @@ class TestTrainPredictEval:
             model_path = tmp_path / f"m{tag}.model"
             trace_path = tmp_path / f"t{tag}.csv"
             main(["train", "--data", str(pl_file), "--model-out", str(model_path),
-                  "--trace-out", str(trace_path), "--seed", "3"])
+                  "--trace-out", str(trace_path)])
             payloads.append(model_path.read_bytes() + trace_path.read_bytes())
         assert payloads[0] == payloads[1]
 
@@ -213,7 +215,53 @@ class TestEntrypoints:
         assert "gen" in r.stdout and "ttest" in r.stdout
 
 
+VALID_MODEL = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
+
+
+def _model_with(line, text):
+    lines = list(VALID_MODEL)
+    lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+# (command, input file replaced, its text, the line the error must name)
+MALFORMED_INPUTS = [
+    ("predict", "model", _model_with(3, "x"), 3),
+    ("predict", "model", _model_with(5, "0.1 oops"), 5),
+    ("predict", "model", _model_with(7, "0.5 --"), 7),
+    ("predict", "model", _model_with(2, "0 1 2 1.5"), 2),
+    ("predict", "model", _model_with(2, "2 0 2 1.5"), 2),
+    ("predict", "model", _model_with(2, "2 1 0 1.5"), 2),
+    ("predict", "model", _model_with(2, "2 1 2 nan"), 2),
+    ("predict", "model", _model_with(2, "2 1 2 inf"), 2),
+    ("predict", "model", _model_with(2, "2 1 2 -1.0"), 2),
+    ("eval", "pred", "1\nx3\n", 2),
+    ("eval", "truth", "2.5\n1\n", 1),
+    ("eval", "values", "1 20.0\n2 abc\n", 2),
+    ("eval", "values", "z 20.0\n2 22.5\n", 1),
+]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
+    def test_malformed_input_names_line(self, tmp_path, pl_file, capsys, command, target, text,
+                                        line):
+        files = {"model": "\n".join(VALID_MODEL) + "\n", "pred": "1\n2\n", "truth": "1\n2\n",
+                 "values": "1 20.0\n2 22.5\n"}
+        files[target] = text
+        for name, body in files.items():
+            (tmp_path / name).write_text(body)
+        if command == "predict":
+            argv = ["predict", "--model", str(tmp_path / "model"), "--data", str(pl_file),
+                    "--out", str(tmp_path / "out.txt")]
+        else:
+            argv = ["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
+                    "--values", str(tmp_path / "values"), "--mae-k", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert re.search(rf"\bline {line}\b", err[0])
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope.pld"),
                      "--model-out", str(tmp_path / "m.model")]) == 2

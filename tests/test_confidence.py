@@ -1,4 +1,9 @@
-"""Anchored confidence programs: exact solver, surrogate, batch path, oracle."""
+"""Anchored confidence programs: exact solver, surrogate, batch path, oracle.
+
+The library runs one projection kernel for every anchor; the references it
+is checked against (active-set enumeration, projected gradient) live in
+oracles.py.
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import oracles
 from surepl.confidence import (
     ConfidenceVector,
     InfeasibleSupportError,
-    oracle_project,
+    _update_rows,
     solve_op_exact,
     solve_opi,
     solve_ops,
@@ -25,6 +30,15 @@ def random_instance(rng, l_max=8):
     q = rng.uniform(-1.0, 1.0, l)
     lam = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
     return q, y, lam
+
+
+def surrogate_anchor(q, y):
+    cand = np.flatnonzero(y)
+    return int(cand[np.argmax(q[cand])])
+
+
+def surrogate_reference(q, y, lam):
+    return oracles.active_set_opi(q, y, lam, surrogate_anchor(q, y))
 
 
 def assert_feasible(p, y, anchor, tol=1e-9):
@@ -207,8 +221,8 @@ class TestUpdateConfidenceMatrix:
             lam = float(rng.choice([0.0, 0.05, 0.3, 1.0, 4.0]))
             P = update_confidence_matrix(Q, Y, lam)
             for i in range(m):
-                ref = solve_ops(Q[i], Y[i], lam)
-                assert np.abs(P[i] - ref.p.p).max() <= 1e-12
+                ref = surrogate_reference(Q[i], Y[i], lam)
+                assert np.abs(P[i] - ref).max() <= 1e-12
 
     def test_ten_by_four_instance(self):
         rng = np.random.default_rng(4)
@@ -216,7 +230,7 @@ class TestUpdateConfidenceMatrix:
         Q = rng.uniform(-1, 1, (10, 4))
         P = update_confidence_matrix(Q, Y, 0.3)
         for i in range(10):
-            assert np.abs(P[i] - solve_ops(Q[i], Y[i], 0.3).p.p).max() <= 1e-12
+            assert np.abs(P[i] - surrogate_reference(Q[i], Y[i], 0.3)).max() <= 1e-12
 
     def test_empty_support_row_rejected(self):
         with pytest.raises(InfeasibleSupportError, match="row 1"):
@@ -245,9 +259,9 @@ class TestUpdateConfidenceMatrix:
                 q = rng.uniform(-1, 1, l) * 100
             lam = float(rng.choice([0.0, 1e-9, 0.3, 10.0, 1000.0]))
             P = update_confidence_matrix(q[None, :], y[None, :], lam)
-            ref = solve_ops(q, y, lam)
-            assert np.abs(P[0] - ref.p.p).max() <= 1e-9
-            assert_feasible(ref.p.p, y, ref.anchor)
+            ref = surrogate_reference(q, y, lam)
+            assert np.abs(P[0] - ref).max() <= 1e-9
+            assert_feasible(P[0], y, surrogate_anchor(q, y))
 
 
 class TestOracleProject:
@@ -258,22 +272,22 @@ class TestOracleProject:
             j = int(rng.choice(np.flatnonzero(y)))
             c = q.copy()
             c[j] += lam / 2.0
-            po = oracle_project(c, y, j)
+            po = oracles.oracle_project(c, y, j)
             res = solve_opi(q, y, lam, j)
             assert np.linalg.norm(po - res.p.p) <= 1e-5
 
     def test_singleton_support(self):
-        p = oracle_project(np.array([3.0, -1.0]), np.array([0, 1]), 1)
+        p = oracles.oracle_project(np.array([3.0, -1.0]), np.array([0, 1]), 1)
         assert np.allclose(p, [0.0, 1.0], atol=1e-12)
 
     def test_feasible_input_with_max_at_anchor_fixed(self):
         c = np.array([0.6, 0.3, 0.1])
-        p = oracle_project(c, np.ones(3, dtype=int), 0)
+        p = oracles.oracle_project(c, np.ones(3, dtype=int), 0)
         assert np.abs(p - c).max() <= 1e-6
 
     def test_infeasible_anchor(self):
         with pytest.raises(InfeasibleSupportError):
-            oracle_project(np.zeros(3), np.array([1, 1, 0]), 2)
+            oracles.oracle_project(np.zeros(3), np.array([1, 1, 0]), 2)
 
 
 class TestConfidenceVector:
@@ -301,3 +315,25 @@ def test_permutation_equivariance(seed, lam):
     base = solve_ops(q, y, lam).p.p
     permed = solve_ops(q[perm], y[perm], lam).p.p
     assert np.abs(permed - base[perm]).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0, 5.0]),
+)
+def test_kernel_matches_active_set_at_every_anchor(seed, l, lam):
+    """The kernel at each candidate anchor, not just the surrogate one, on
+    half-integer scores whose many exact ties stress the tie pooling."""
+    rng = np.random.default_rng(seed)
+    y = oracles.random_support(rng, l)
+    q = rng.integers(-4, 5, l) / 2.0
+    anchors = np.flatnonzero(y)
+    k = anchors.size
+    P = _update_rows(np.tile(q, (k, 1)), np.tile(y.astype(bool), (k, 1)), lam, anchors)
+    for p, j in zip(P, anchors):
+        assert np.abs(p - oracles.active_set_opi(q, y, lam, j)).max() <= 1e-12
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert (p >= 0.0).all() and (p[y == 0] == 0.0).all()
+        assert (p <= p[j]).all()

@@ -1,7 +1,10 @@
 """Bandwidth heuristic and Gram matrix behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from surepl.kernel import gram_matrix, mean_pairwise_distance
 
@@ -71,6 +74,19 @@ class TestGramMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             gram_matrix(np.ones((2, 3)), np.ones((2, 4)), sigma=1.0)
+
+    def test_holds_one_matrix_and_matches_formula(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((600, 8))
+        Z = rng.standard_normal((500, 8))
+        tracemalloc.start()
+        try:
+            K = gram_matrix(X, Z, sigma=1.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * K.nbytes
+        assert np.array_equal(K, np.exp(-cdist(X, Z, "sqeuclidean") / (2.0 * 1.7 * 1.7)))
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -10,6 +10,18 @@ import pytest
 import oracles
 
 
+class TestAnchoredProjections:
+    def test_active_set_matches_projected_gradient(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            l = int(rng.integers(2, 7))
+            y = oracles.random_support(rng, l)
+            c = rng.uniform(-1, 1.5, l)
+            j = int(rng.choice(np.flatnonzero(y)))
+            exact = oracles.active_set_projection(c, y, j)
+            assert np.linalg.norm(exact - oracles.oracle_project(c, y, j)) <= 1e-5
+
+
 class TestBisectBoxSimplex:
     def test_satisfies_constraints_and_beats_random_feasible(self):
         rng = np.random.default_rng(1)

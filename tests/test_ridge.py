@@ -1,5 +1,7 @@
 """Closed-form ridge fits: stationarity, oracle comparisons, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,17 @@ class TestFitKernel:
                 ref = K @ A + b
                 scale = np.abs(K) @ np.abs(A) + np.abs(b)
                 assert np.all(np.abs(solver.outputs(A, b) - ref) <= 1e-12 * scale)
+
+    def test_factor_holds_one_extra_matrix(self):
+        X = np.random.default_rng(12).standard_normal((600, 5))
+        K = gram_matrix(X, X, sigma=2.0)
+        tracemalloc.start()
+        try:
+            KernelRidgeSolver(K, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * K.nbytes
 
     def test_solver_reuse_matches_single_shot(self):
         rng = np.random.default_rng(9)

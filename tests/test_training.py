@@ -18,7 +18,7 @@ def supervised_blobs(m=60, classes=3, seed=0):
 class TestTrain:
     def test_supervised_lambda_zero_fixed_point(self):
         d = supervised_blobs()
-        cfg = TrainConfig(lam=0.0, beta=0.1, max_iter=20, tol=1e-3, seed=1)
+        cfg = TrainConfig(lam=0.0, beta=0.1, max_iter=20, tol=1e-3)
         model, P, trace = train(d, cfg)
         assert np.array_equal(P, d.candidates.astype(float))
         assert trace.iterations_run == 1
@@ -32,7 +32,7 @@ class TestTrain:
 
     def test_supervised_positive_lambda_also_fixed(self):
         d = supervised_blobs()
-        model, P, trace = train(d, TrainConfig(lam=0.5, beta=0.1, max_iter=30, seed=0))
+        model, P, trace = train(d, TrainConfig(lam=0.5, beta=0.1, max_iter=30))
         assert np.array_equal(P, d.candidates.astype(float))
         assert trace.converged and trace.iterations_run == 1
 
@@ -49,7 +49,7 @@ class TestTrain:
         for seed in range(10):
             clean = make_blobs_dataset(200, classes=3, separation=4.0, spread=1.0, seed=seed)
             d = corrupt(clean, SyntheticSpec(p=0.5, r=1, mode="random", seed=seed + 100))
-            _, _, trace = train(d, TrainConfig(lam=0.3, beta=0.05, max_iter=50, tol=1e-3, seed=seed))
+            _, _, trace = train(d, TrainConfig(lam=0.3, beta=0.05, max_iter=50, tol=1e-3))
             settles = all(
                 trace.delta_p[i] <= trace.delta_p[i - 1] + 1e-12
                 for i in range(3, len(trace.delta_p))
@@ -75,7 +75,7 @@ class TestTrain:
     def test_converged_implies_last_delta_below_tol(self):
         clean = make_blobs_dataset(80, classes=3, seed=2)
         d = corrupt(clean, SyntheticSpec(p=0.6, r=1, seed=3))
-        cfg = TrainConfig(lam=0.3, beta=0.05, max_iter=40, tol=1e-3, seed=2)
+        cfg = TrainConfig(lam=0.3, beta=0.05, max_iter=40, tol=1e-3)
         _, _, trace = train(d, cfg)
         if trace.converged:
             assert trace.delta_p[-1] <= cfg.tol
@@ -87,7 +87,7 @@ class TestTrain:
         perm = np.array([2, 0, 3, 1])
         d_perm = PLDataset(d.features, d.candidates[:, perm], None)
         d_plain = PLDataset(d.features, d.candidates, None)
-        cfg = TrainConfig(lam=0.3, beta=0.1, max_iter=15, seed=4)
+        cfg = TrainConfig(lam=0.3, beta=0.1, max_iter=15)
         model_a, P_a, _ = train(d_plain, cfg)
         model_b, P_b, _ = train(d_perm, cfg)
         assert np.abs(P_b - P_a[:, perm]).max() <= 1e-9
@@ -101,7 +101,7 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         clean = make_blobs_dataset(40, classes=3, seed=1)
         d = corrupt(clean, SyntheticSpec(p=0.9, r=1, seed=2))
-        cfg = TrainConfig(lam=0.2, beta=0.05, max_iter=10, seed=11)
+        cfg = TrainConfig(lam=0.2, beta=0.05, max_iter=10)
         m1, P1, t1 = train(d, cfg)
         m2, P2, t2 = train(d, cfg)
         assert np.array_equal(P1, P2)
@@ -111,8 +111,8 @@ class TestTrain:
     def test_literal_init_differs_then_recovers(self):
         clean = make_blobs_dataset(40, classes=3, seed=3)
         d = corrupt(clean, SyntheticSpec(p=1.0, r=1, seed=4))
-        lit = train(d, TrainConfig(init="literal", max_iter=10, seed=0))
-        norm = train(d, TrainConfig(init="normalized", max_iter=10, seed=0))
+        lit = train(d, TrainConfig(init="literal", max_iter=10))
+        norm = train(d, TrainConfig(init="normalized", max_iter=10))
         assert lit[2].delta_p[0] != norm[2].delta_p[0]
         # every retained confidence matrix is feasible in both modes
         for _, P, _ in (lit, norm):
@@ -166,6 +166,6 @@ class TestPredict:
 
     def test_self_prediction_on_separable_supervised_blobs(self):
         d = supervised_blobs(m=120, seed=8)
-        model, _, _ = train(d, TrainConfig(lam=0.0, beta=0.001, max_iter=5, seed=8))
+        model, _, _ = train(d, TrainConfig(lam=0.0, beta=0.001, max_iter=5))
         acc = float(np.mean(predict(model, d.features) == d.truth))
         assert acc >= 0.99
