@@ -19,8 +19,8 @@ from .confidence import (
     update_confidence_matrix,
 )
 from .data import (
+    FileFormatError,
     PLDataset,
-    PldFormatError,
     SyntheticSpec,
     corrupt,
     load_dataset,
@@ -57,13 +57,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfidenceVector",
     "ExperimentReport",
+    "FileFormatError",
     "GridSearchResult",
     "InfeasibleSupportError",
     "KernelModel",
     "KnnConfig",
     "LinearModel",
     "PLDataset",
-    "PldFormatError",
     "QPResult",
     "SingularSystemError",
     "SyntheticSpec",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import KnnConfig
-from .data import SyntheticSpec, corrupt, load_dataset, save_dataset
+from .data import SyntheticSpec, corrupt, format_float, load_dataset, save_dataset, write_lines
 from .harness import (
     DEFAULT_GRID,
     accuracy,
@@ -33,16 +33,6 @@ from .ridge import load_model, save_model
 from .training import TrainConfig, predict, train
 
 __all__ = ["main"]
-
-
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _trace_csv(trace) -> str:
-    lines = ["iter,delta_p"]
-    lines.extend(f"{i + 1},{repr(d)}" for i, d in enumerate(trace.delta_p))
-    return "\n".join(lines) + "\n"
 
 
 def _float_list(text: str) -> list[float]:
@@ -90,7 +80,8 @@ def _cmd_train(args) -> int:
     model, _, trace = train(d, _train_config(args))
     save_model(model, args.model_out)
     if args.trace_out:
-        _write_text(args.trace_out, _trace_csv(trace))
+        rows = (f"{i + 1},{format_float(d)}" for i, d in enumerate(trace.delta_p))
+        write_lines(args.trace_out, ["iter,delta_p", *rows])
     return 0
 
 
@@ -119,7 +110,7 @@ def _cmd_cv(args) -> int:
                                     collect_traces=args.traces)
     else:
         report = cross_validate(d, "plknn", KnnConfig(k=args.k), args.folds, args.seed)
-    _write_text(args.report, report_to_json(report))
+    write_lines(args.report, report_to_json(report).splitlines())
     return 0
 
 
@@ -140,12 +131,15 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.values is not None and args.mae_k is None:
+        raise ValueError("--values needs --mae-k")
     pred = read_labels(args.pred)
     truth = read_labels(args.truth)
-    print(f"accuracy {accuracy(pred, truth)!r}")
+    values = None if args.values is None else load_values_map(args.values)
+    lines = [f"accuracy {accuracy(pred, truth)!r}"]
     if args.mae_k is not None:
-        values = load_values_map(args.values) if args.values else None
-        print(f"mae@{args.mae_k!r} {mae_at_k(pred, truth, values, args.mae_k)!r}")
+        lines.append(f"mae@{args.mae_k!r} {mae_at_k(pred, truth, values, args.mae_k)!r}")
+    print("\n".join(lines))
     return 0
 
 

@@ -82,35 +82,45 @@ class QPResult:
     anchor: int
 
 
-def _check_inputs(q, y, lam):
-    q = np.asarray(q, dtype=np.float64)
-    y = np.asarray(y)
-    if q.ndim != 1 or y.shape != q.shape:
-        raise ValueError("q and y must be 1-D arrays of equal length")
-    if not np.isfinite(q).all():
-        raise ValueError("q must be finite")
-    if not np.isin(y, (0, 1)).all():
+def _check_inputs(Q, Y, lam):
+    """Q as float64 and Y as a bool candidate mask after the checks that every
+    public entry shares; the single-row solvers pass 1 x l matrices."""
+    Q = np.asarray(Q, dtype=np.float64)
+    Y = np.asarray(Y)
+    if Q.ndim != 2 or Y.shape != Q.shape:
+        raise ValueError("outputs and supports must be equal-shape arrays, one row per example")
+    if not np.isfinite(Q).all():
+        raise ValueError("outputs must be finite")
+    if not np.isin(Y, (0, 1)).all():
         raise ValueError("support entries must be 0 or 1")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    y = y.astype(np.uint8)
-    if y.sum() == 0:
-        raise InfeasibleSupportError("all-zero support: no candidate labels")
-    return q, y
+    Yb = Y.astype(bool)
+    empty = ~Yb.any(axis=1)
+    if empty.any():
+        bad = int(np.flatnonzero(empty)[0])
+        raise InfeasibleSupportError(f"row {bad} has an empty candidate set")
+    return Q, Yb
 
 
-def _best_anchored(q, y, lam: float, anchors) -> QPResult:
-    """Best anchored program over `anchors` (the first wins ties), one kernel call.
+def _best_anchored(Q, Yb, lam: float, anchors) -> QPResult:
+    """Best anchored program for the 1 x l row (Q, Yb) over `anchors` (the first
+    wins ties), one kernel call.
 
     Every solver computes its objectives here, so equal inputs give equal bits.
     """
     anchors = np.asarray(anchors)
     k = anchors.size
-    Q = np.tile(q, (k, 1))
-    P = _update_rows(Q, np.tile(y.astype(bool), (k, 1)), lam, anchors)
-    obj = ((P - Q) ** 2).sum(axis=1) - lam * P[np.arange(k), anchors]
+    Qk = np.repeat(Q, k, axis=0)
+    P = _update_rows(Qk, np.repeat(Yb, k, axis=0), lam, anchors)
+    obj = ((P - Qk) ** 2).sum(axis=1) - lam * P[np.arange(k), anchors]
     i = int(np.argmin(obj))
-    return QPResult(ConfidenceVector(P[i], y), float(obj[i]), int(anchors[i]))
+    return QPResult(ConfidenceVector(P[i], Yb[0]), float(obj[i]), int(anchors[i]))
+
+
+def _check_row(q, y, lam):
+    """_check_inputs on the single example (q, y), as a 1 x l matrix."""
+    return _check_inputs(np.asarray(q)[None], np.asarray(y)[None], lam)
 
 
 def solve_opi(q, y, lam: float, j: int) -> QPResult:
@@ -119,15 +129,15 @@ def solve_opi(q, y, lam: float, j: int) -> QPResult:
     Infeasible when y_j = 0 with more than one label: p_j = 0 would force
     every coordinate to zero, contradicting sum(p) = 1.
     """
-    q, y = _check_inputs(q, y, lam)
-    l = q.size
+    Q, Yb = _check_row(q, y, lam)
+    l = Q.shape[1]
     if not 0 <= j < l:
         raise ValueError(f"anchor {j} out of range [0, {l})")
-    if y[j] == 0:
+    if not Yb[0, j]:
         raise InfeasibleSupportError(
             f"anchor label {j} is not a candidate: p_k <= p_{j} = 0 with sum(p) = 1 is infeasible"
         )
-    return _best_anchored(q, y, lam, [j])
+    return _best_anchored(Q, Yb, lam, [j])
 
 
 def solve_op_exact(q, y, lam: float) -> QPResult:
@@ -137,8 +147,8 @@ def solve_op_exact(q, y, lam: float) -> QPResult:
     the minimum); any candidate anchor is feasible, so a nonzero support
     always yields a solution.
     """
-    q, y = _check_inputs(q, y, lam)
-    return _best_anchored(q, y, lam, np.flatnonzero(y))
+    Q, Yb = _check_row(q, y, lam)
+    return _best_anchored(Q, Yb, lam, np.flatnonzero(Yb[0]))
 
 
 def solve_ops(q, y, lam: float) -> QPResult:
@@ -148,9 +158,8 @@ def solve_ops(q, y, lam: float) -> QPResult:
     exact minimum; with 0/1 supports the two coincide (swapping any two
     candidate coordinates shows anchors with larger q can only do better).
     """
-    q, y = _check_inputs(q, y, lam)
-    cand = np.flatnonzero(y)
-    return _best_anchored(q, y, lam, [cand[np.argmax(q[cand])]])
+    Q, Yb = _check_row(q, y, lam)
+    return _best_anchored(Q, Yb, lam, [np.argmax(np.where(Yb[0], Q[0], -np.inf))])
 
 
 def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
@@ -159,20 +168,7 @@ def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
     Row i of the result equals solve_ops(Q[i], Y[i], lam).p: both run the
     same kernel at the surrogate anchors.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    Y = np.asarray(Y)
-    if Q.ndim != 2 or Y.shape != Q.shape:
-        raise ValueError("Q and Y must be 2-D arrays of equal shape")
-    if not np.isin(Y, (0, 1)).all():
-        raise ValueError("support entries must be 0 or 1")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    Yb = Y.astype(bool)
-    sizes = Yb.sum(axis=1)
-    if (sizes == 0).any():
-        bad = int(np.flatnonzero(sizes == 0)[0])
-        raise InfeasibleSupportError(f"row {bad} has an empty candidate set")
-    return _update_rows(Q, Yb, lam)
+    return _update_rows(*_check_inputs(Q, Y, lam), lam)
 
 
 def _update_rows(Q: np.ndarray, Yb: np.ndarray, lam: float, anchors=None) -> np.ndarray:
@@ -217,6 +213,9 @@ def _update_rows(Q: np.ndarray, Yb: np.ndarray, lam: float, anchors=None) -> np.
     means = np.where(np.isfinite(V), cum / ranks, -np.inf)
     tau = np.argmax(means, axis=1) + 1
     t = means[rows, tau - 1] - theta
+    # only the anchor passes the threshold: the row commits, and a - (a - 1)
+    # can miss 1 by an ulp (every other coordinate is already exactly 0)
+    t[rho == 1] = 1.0
 
     clipped = np.minimum(np.maximum(D - theta[:, None], 0.0), t[:, None])
     w = np.where(np.arange(l)[None, :] < (tau - 1)[:, None], t[:, None], clipped)

@@ -1,23 +1,31 @@
-"""Partial-label datasets, the PLD text format, and controlled candidate corruption.
+"""Partial-label datasets, the text-file layer, and controlled candidate corruption.
 
 A partial-label (PL) example is a feature vector paired with a set of candidate
 labels, exactly one of which is the hidden ground truth.  In-memory label
-indices are 0-based; the PLD file format uses 1-based indices.
+indices are 0-based; every file format uses 1-based labels.
 
-PLD format (UTF-8, LF line endings)::
+Every file surepl reads or writes (PLD datasets, models, label files, value
+maps, traces and reports) goes through one layer here: `read_lines` and
+`write_lines` (UTF-8, LF line endings), `format_float` (shortest round-trip
+decimals, so writing then reading a float is bit-exact) and `parse_floats`
+(token count, parse and finiteness).  Malformed input raises
+`FileFormatError`, whose message names the offending line.
+
+PLD format::
 
     pld 1
     <m> <n> <l>
     <f_1> ... <f_n> | <c_1>,<c_2>,...,<c_k>[ | <t>]
 
-where the ``f_j`` are decimal floats, the ``c_j`` are 1-based candidate label
-indices in strictly ascending order and the optional ``t`` is the 1-based
-ground-truth label (present for every line or for none).  Floats are written
-with shortest round-trip precision, so save followed by load is bit-exact.
+where the ``f_j`` are finite decimal floats, the ``c_j`` are 1-based
+candidate label indices in strictly ascending order and the optional ``t`` is
+the 1-based ground-truth label (present for every line or for none).
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +34,13 @@ import numpy as np
 __all__ = [
     "PLDataset",
     "SyntheticSpec",
-    "PldFormatError",
+    "FileFormatError",
     "load_dataset",
     "save_dataset",
+    "read_lines",
+    "write_lines",
+    "format_float",
+    "parse_floats",
     "corrupt",
     "split_folds",
 ]
@@ -36,14 +48,46 @@ __all__ = [
 PLD_MAGIC = "pld 1"
 
 
-class PldFormatError(ValueError):
-    """A PLD file violates the format; the message names the offending line."""
+class FileFormatError(ValueError):
+    """An input file violates its format; the message names the offending line."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"{message} at line {line}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"{message} at line {line}")
         self.line = line
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their line terminators."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def write_lines(path, lines) -> None:
+    """Write `lines` as UTF-8 text, each one ended by LF."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def format_float(x) -> str:
+    """Shortest decimal that parses back to the same float64."""
+    return repr(float(x))
+
+
+def parse_floats(tokens, width: int, line: int, what: str) -> list[float]:
+    """Exactly `width` finite floats from `tokens`; anything else raises
+    FileFormatError naming `line`.  `what` names the values in the message."""
+    if len(tokens) != width:
+        raise FileFormatError(
+            f"dimension mismatch: expected {width} {what}, found {len(tokens)}", line
+        )
+    try:
+        values = list(map(float, tokens))
+    except ValueError as exc:
+        raise FileFormatError(f"invalid {what} ({exc})", line) from None
+    if not all(map(math.isfinite, values)):
+        raise FileFormatError(f"non-finite {what}", line)
+    return values
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -228,100 +272,77 @@ def split_folds(d: PLDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.nd
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_dataset(d: PLDataset, path) -> None:
     """Write the dataset in PLD format; load_dataset inverts this bit-exactly."""
     lines = [PLD_MAGIC, f"{d.m} {d.n} {d.l}"]
-    has_truth = d.truth is not None
-    for i in range(d.m):
-        feats = " ".join(_fmt(v) for v in d.features[i])
+    for i, row in enumerate(d.features):
         cands = ",".join(str(j + 1) for j in np.flatnonzero(d.candidates[i]))
-        line = f"{feats} | {cands}"
-        if has_truth:
+        line = f"{' '.join(map(format_float, row.tolist()))} | {cands}"
+        if d.truth is not None:
             line += f" | {d.truth[i] + 1}"
         lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def load_dataset(path) -> PLDataset:
-    """Parse a PLD file; malformed input raises PldFormatError naming the line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    """Parse a PLD file; malformed input raises FileFormatError naming the line."""
+    lines = read_lines(path)
     if not lines or lines[0].strip() != PLD_MAGIC:
-        raise PldFormatError(f"malformed header: expected {PLD_MAGIC!r}", line=1)
-    if len(lines) < 2:
-        raise PldFormatError("malformed header: missing dimension line", line=2)
-    dims = lines[1].split()
+        raise FileFormatError(f"malformed header: expected {PLD_MAGIC!r}", 1)
+    dims = lines[1].split() if len(lines) > 1 else []
     if len(dims) != 3:
-        raise PldFormatError("malformed header: expected '<m> <n> <l>'", line=2)
+        raise FileFormatError("malformed header: expected '<m> <n> <l>'", 2)
     try:
-        m, n, l = (int(tok) for tok in dims)
+        m, n, l = map(int, dims)
     except ValueError:
-        raise PldFormatError("malformed header: dimensions must be integers", line=2) from None
+        raise FileFormatError("malformed header: dimensions must be integers", 2) from None
     if m < 1 or n < 1 or l < 1:
-        raise PldFormatError("malformed header: dimensions must be positive", line=2)
+        raise FileFormatError("malformed header: dimensions must be positive", 2)
     if len(lines) - 2 != m:
-        raise PldFormatError(
-            f"dimension mismatch: header declares {m} rows, file has {len(lines) - 2}", line=2
+        raise FileFormatError(
+            f"dimension mismatch: header declares {m} rows, file has {len(lines) - 2}", 2
         )
 
-    features = np.empty((m, n), dtype=np.float64)
+    features = array("d")  # flat float64 rows, without a Python float per value
     candidates = np.zeros((m, l), dtype=np.uint8)
-    truth_vals: list[int] = []
-    has_truth: bool | None = None
-    for i in range(m):
+    truth: list[int] = []
+    has_truth = lines[2].count("|") == 2
+    for i, record in enumerate(lines[2:]):
         lineno = i + 3
-        parts = [s.strip() for s in lines[i + 2].split("|")]
+        parts = [s.strip() for s in record.split("|")]
         if len(parts) not in (2, 3):
-            raise PldFormatError(
-                "malformed record: expected '<features> | <candidates> [| <truth>]'", line=lineno
+            raise FileFormatError(
+                "malformed record: expected '<features> | <candidates> [| <truth>]'", lineno
             )
-        row_truth = len(parts) == 3
-        if has_truth is None:
-            has_truth = row_truth
-        elif has_truth != row_truth:
-            raise PldFormatError("inconsistent truth column", line=lineno)
-
-        feat_tokens = parts[0].split()
-        if len(feat_tokens) != n:
-            raise PldFormatError(
-                f"dimension mismatch: expected {n} features, found {len(feat_tokens)}", line=lineno
-            )
-        try:
-            features[i] = [float(tok) for tok in feat_tokens]
-        except ValueError:
-            raise PldFormatError("invalid feature value", line=lineno) from None
+        if (len(parts) == 3) != has_truth:
+            raise FileFormatError("inconsistent truth column", lineno)
+        features.extend(parse_floats(parts[0].split(), n, lineno, "features"))
 
         if parts[1] == "":
-            raise PldFormatError("empty candidate set", line=lineno)
+            raise FileFormatError("empty candidate set", lineno)
         try:
             cand_idx = [int(tok) for tok in parts[1].split(",")]
         except ValueError:
-            raise PldFormatError("invalid candidate index", line=lineno) from None
+            raise FileFormatError("invalid candidate index", lineno) from None
         prev = 0
         for c in cand_idx:
             if not 1 <= c <= l:
-                raise PldFormatError(f"candidate index {c} out of range [1, {l}]", line=lineno)
+                raise FileFormatError(f"candidate index {c} out of range [1, {l}]", lineno)
             if c <= prev:
-                raise PldFormatError("candidates not in strictly ascending order", line=lineno)
+                raise FileFormatError("candidates not in strictly ascending order", lineno)
             prev = c
             candidates[i, c - 1] = 1
 
-        if row_truth:
+        if has_truth:
             try:
                 t = int(parts[2])
             except ValueError:
-                raise PldFormatError("invalid truth label", line=lineno) from None
+                raise FileFormatError("invalid truth label", lineno) from None
             if not 1 <= t <= l:
-                raise PldFormatError(f"truth label {t} out of range [1, {l}]", line=lineno)
+                raise FileFormatError(f"truth label {t} out of range [1, {l}]", lineno)
             if candidates[i, t - 1] != 1:
-                raise PldFormatError(f"truth label {t} outside candidate set", line=lineno)
-            truth_vals.append(t - 1)
+                raise FileFormatError(f"truth label {t} outside candidate set", lineno)
+            truth.append(t - 1)
 
-    truth = np.array(truth_vals, dtype=np.int64) if has_truth else None
-    return PLDataset(features, candidates, truth)
+    return PLDataset(np.frombuffer(features).reshape(m, n), candidates,
+                     np.array(truth) if has_truth else None)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc
 
 from .baselines import plknn_predict
-from .data import PLDataset, split_folds
+from .data import FileFormatError, PLDataset, parse_floats, read_lines, split_folds, write_lines
 from .training import TrainConfig, TrainTrace, predict, train
 
 __all__ = [
@@ -343,44 +342,39 @@ def report_from_json(text: str) -> ExperimentReport:
 
 def write_labels(path, labels) -> None:
     """One 1-based label per line."""
-    lines = [str(int(v) + 1) for v in np.asarray(labels)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, [str(int(v) + 1) for v in np.asarray(labels)])
+
+
+def _label(token: str, line: int) -> int:
+    """The 0-based label of a 1-based label token."""
+    try:
+        v = int(token)
+    except ValueError:
+        raise FileFormatError(f"label {token!r} is not an integer", line) from None
+    if v < 1:
+        raise FileFormatError("label must be >= 1", line)
+    return v - 1
 
 
 def read_labels(path) -> np.ndarray:
-    """Parse a label file back to 0-based labels."""
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            v = int(raw)
-        except ValueError:
-            raise ValueError(f"label {raw.strip()!r} is not an integer at line {lineno}") from None
-        if v < 1:
-            raise ValueError(f"label must be >= 1 at line {lineno}")
-        out.append(v - 1)
+    """Parse a label file back to 0-based labels; blank lines are skipped."""
+    out = [_label(raw.strip(), lineno)
+           for lineno, raw in enumerate(read_lines(path), start=1) if raw.strip()]
     if not out:
-        raise ValueError("empty label file")
+        raise FileFormatError("empty label file", 1)
     return np.array(out, dtype=np.int64)
 
 
 def load_values_map(path) -> dict[int, float]:
     """Two-column text file '<1-based label> <value>' -> {0-based label: value}."""
     values: dict[int, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in enumerate(read_lines(path), start=1):
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise ValueError(f"expected '<label> <value>' at line {lineno}")
-        try:
-            label, value = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"malformed values file: {exc} at line {lineno}") from None
-        if label < 1:
-            raise ValueError(f"label must be >= 1 at line {lineno}")
-        values[label - 1] = value
+            raise FileFormatError("expected '<label> <value>'", lineno)
+        values[_label(parts[0], lineno)] = parse_floats(parts[1:], 1, lineno, "value")[0]
     if not values:
-        raise ValueError("empty values file")
+        raise FileFormatError("empty values file", 1)
     return values

@@ -16,13 +16,14 @@ the two makes their worker threads compete for the same cores.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dgemm, dgemv
 
+from .data import FileFormatError, format_float, parse_floats, read_lines, write_lines
 from .kernel import gram_matrix
 
 __all__ = [
@@ -212,56 +213,46 @@ def model_outputs(model: KernelModel, X_query) -> np.ndarray:
     return G @ model.A + model.b
 
 
-def _fmt_row(row) -> str:
-    return " ".join(repr(float(v)) for v in row)
-
-
 def save_model(model: KernelModel, path) -> None:
     """Versioned text serialization; floats use shortest round-trip decimals."""
     m, n = model.train_X.shape
     l = model.A.shape[1]
-    lines = [MODEL_MAGIC, f"{m} {n} {l} {repr(model.sigma)}"]
-    lines.extend(_fmt_row(model.train_X[i]) for i in range(m))
-    lines.extend(_fmt_row(model.A[i]) for i in range(m))
-    lines.append(_fmt_row(model.b))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    lines = [MODEL_MAGIC, f"{m} {n} {l} {format_float(model.sigma)}"]
+    for block in (model.train_X, model.A, model.b[None, :]):
+        lines.extend(" ".join(map(format_float, row)) for row in block.tolist())
+    write_lines(path, lines)
 
 
 def load_model(path) -> KernelModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    """Parse a model file; malformed input raises FileFormatError naming the line."""
+    lines = read_lines(path)
     if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"not a model file: expected header {MODEL_MAGIC!r}")
+        raise FileFormatError(f"not a model file: expected header {MODEL_MAGIC!r}", 1)
     try:
         m, n, l, sigma = (lines[1] if len(lines) > 1 else "").split()
         m, n, l, sigma = int(m), int(n), int(l), float(sigma)
     except ValueError as exc:
-        raise ValueError(
-            f"malformed model header at line 2 ({exc}): expected '<m> <n> <l> <sigma>'"
+        raise FileFormatError(
+            f"malformed model header ({exc}): expected '<m> <n> <l> <sigma>'", 2
         ) from None
     if min(m, n, l) < 1 or not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(
-            f"malformed model header at line 2: sizes must be >= 1 and sigma finite and "
-            f"positive, got {lines[1]!r}"
+        raise FileFormatError(
+            f"malformed model header: sizes must be >= 1 and sigma finite and positive, "
+            f"got {lines[1]!r}", 2
         )
-    if len(lines) != 2 + 2 * m + 1:
-        raise ValueError(f"malformed model file: expected {2 + 2 * m + 1} lines, found {len(lines)}")
+    if len(lines) != 2 * m + 3:
+        raise FileFormatError(
+            f"dimension mismatch: header declares {m} rows, so {2 * m + 3} lines, "
+            f"file has {len(lines)}", 2
+        )
 
-    def rows(start, count, width):
-        out = np.empty((count, width))
-        for i in range(count):
-            vals = lines[start + i].split()
-            if len(vals) != width:
-                raise ValueError(f"malformed model file: bad row width at line {start + i + 1}")
-            try:
-                out[i] = [float(v) for v in vals]
-            except ValueError as exc:
-                raise ValueError(f"malformed model file: {exc} at line {start + i + 1}") from None
-        return out
+    def rows(start, stop, width, what):
+        flat = array("d")  # float64 rows, without a Python float per value
+        for i in range(start, stop):
+            flat.extend(parse_floats(lines[i].split(), width, i + 1, what))
+        return np.frombuffer(flat).reshape(stop - start, width)
 
-    X = rows(2, m, n)
-    A = rows(2 + m, m, l)
-    b = rows(2 + 2 * m, 1, l)[0]
+    X = rows(2, m + 2, n, "features")
+    A = rows(m + 2, 2 * m + 2, l, "weights")
+    b = rows(2 * m + 2, 2 * m + 3, l, "biases")[0]
     return KernelModel(X, A, b, sigma)

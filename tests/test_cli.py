@@ -205,62 +205,92 @@ class TestGridAndTtest:
 
 class TestEntrypoints:
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
 
+        import surepl
+
+        # pytest's pythonpath setting does not reach a child process
+        src = os.path.dirname(os.path.dirname(surepl.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         r = subprocess.run(
-            [sys.executable, "-m", "surepl", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "surepl", "--help"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert r.returncode == 0
         assert "gen" in r.stdout and "ttest" in r.stdout
 
 
 VALID_MODEL = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
+VALID_DATA = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
 
 
-def _model_with(line, text):
-    lines = list(VALID_MODEL)
+def _with(valid, line, text):
+    lines = list(valid)
     lines[line - 1] = text
     return "\n".join(lines) + "\n"
 
 
 # (command, input file replaced, its text, the line the error must name)
 MALFORMED_INPUTS = [
-    ("predict", "model", _model_with(3, "x"), 3),
-    ("predict", "model", _model_with(5, "0.1 oops"), 5),
-    ("predict", "model", _model_with(7, "0.5 --"), 7),
-    ("predict", "model", _model_with(2, "0 1 2 1.5"), 2),
-    ("predict", "model", _model_with(2, "2 0 2 1.5"), 2),
-    ("predict", "model", _model_with(2, "2 1 0 1.5"), 2),
-    ("predict", "model", _model_with(2, "2 1 2 nan"), 2),
-    ("predict", "model", _model_with(2, "2 1 2 inf"), 2),
-    ("predict", "model", _model_with(2, "2 1 2 -1.0"), 2),
+    ("predict", "model", _with(VALID_MODEL, 3, "x"), 3),
+    ("predict", "model", _with(VALID_MODEL, 5, "0.1 oops"), 5),
+    ("predict", "model", _with(VALID_MODEL, 7, "0.5 --"), 7),
+    ("predict", "model", _with(VALID_MODEL, 2, "0 1 2 1.5"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 0 2 1.5"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 0 1.5"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 nan"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 inf"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 -1.0"), 2),
+    ("predict", "model", _with(VALID_MODEL, 5, "0.1 nan"), 5),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1000000000000 2 1.5"), 3),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 1000000000000 1.5"), 5),
+    ("train", "data", _with(VALID_DATA, 4, "nan | 1,2 | 2"), 4),
+    ("train", "data", _with(VALID_DATA, 4, "inf | 1,2 | 2"), 4),
+    ("train", "data", _with(VALID_DATA, 3, "1e999 | 1 | 1"), 3),
+    ("train", "data", _with(VALID_DATA, 2, "2 1000000000000 2"), 3),
     ("eval", "pred", "1\nx3\n", 2),
     ("eval", "truth", "2.5\n1\n", 1),
     ("eval", "values", "1 20.0\n2 abc\n", 2),
     ("eval", "values", "z 20.0\n2 22.5\n", 1),
+    ("eval", "values", "1 20.0\n2 nan\n", 2),
 ]
 
 
 class TestErrorPaths:
     @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
-    def test_malformed_input_names_line(self, tmp_path, pl_file, capsys, command, target, text,
-                                        line):
-        files = {"model": "\n".join(VALID_MODEL) + "\n", "pred": "1\n2\n", "truth": "1\n2\n",
-                 "values": "1 20.0\n2 22.5\n"}
+    def test_malformed_input_names_line(self, tmp_path, capsys, command, target, text, line):
+        files = {"model": "\n".join(VALID_MODEL) + "\n", "data": "\n".join(VALID_DATA) + "\n",
+                 "pred": "1\n2\n", "truth": "1\n2\n", "values": "1 20.0\n2 22.5\n"}
         files[target] = text
         for name, body in files.items():
             (tmp_path / name).write_text(body)
-        if command == "predict":
-            argv = ["predict", "--model", str(tmp_path / "model"), "--data", str(pl_file),
-                    "--out", str(tmp_path / "out.txt")]
+        if command == "train":
+            argv = ["train", "--data", str(tmp_path / "data"),
+                    "--model-out", str(tmp_path / "out.model")]
+        elif command == "predict":
+            argv = ["predict", "--model", str(tmp_path / "model"),
+                    "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out.txt")]
         else:
             argv = ["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
                     "--values", str(tmp_path / "values"), "--mae-k", "1"]
         assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        assert out == ""  # every input is read before anything is printed
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert re.search(rf"\bline {line}\b", err[0])
+
+    def test_values_without_mae_k(self, tmp_path, capsys):
+        for name in ("pred", "truth", "values"):
+            (tmp_path / name).write_text("1\n")
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
+                     "--values", str(tmp_path / "values")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--mae-k" in err[0]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope.pld"),

@@ -232,6 +232,23 @@ class TestUpdateConfidenceMatrix:
         for i in range(10):
             assert np.abs(P[i] - surrogate_reference(Q[i], Y[i], 0.3)).max() <= 1e-12
 
+    def test_committed_rows_are_exact_indicators(self):
+        # singleton rows, and rows where only the anchor passes the threshold
+        rng = np.random.default_rng(5)
+        Y = np.stack([oracles.random_support(rng, 4) for _ in range(2000)])
+        Y[:500] = np.eye(4, dtype=Y.dtype)[rng.integers(0, 4, 500)]
+        Q = rng.uniform(-3, 3, Y.shape)
+        P = update_confidence_matrix(Q, Y, 0.3)
+        E = np.eye(4)[np.argmax(np.where(Y == 1, Q, -np.inf), axis=1)]
+        committed = (P * E).sum(axis=1) >= 1 - 1e-12
+        assert committed[:500].all() and committed[500:].sum() > 100
+        assert (P[committed] == E[committed]).all()
+
+    def test_non_finite_outputs_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                update_confidence_matrix([[bad, 0.2, 0.1]], [[1, 1, 0]], 0.3)
+
     def test_empty_support_row_rejected(self):
         with pytest.raises(InfeasibleSupportError, match="row 1"):
             update_confidence_matrix(np.zeros((2, 3)), np.array([[1, 0, 0], [0, 0, 0]]), 0.1)

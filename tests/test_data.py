@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surepl.data import (
+    FileFormatError,
     PLDataset,
-    PldFormatError,
     SyntheticSpec,
     corrupt,
     load_dataset,
@@ -124,43 +124,43 @@ class TestPldFormat:
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("nope\n1 1 1\n0.0 | 1\n")
-        with pytest.raises(PldFormatError, match="line 1"):
+        with pytest.raises(FileFormatError, match="line 1"):
             load_dataset(path)
 
     def test_bad_dims_rejected(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n1 x 1\n0.0 | 1\n")
-        with pytest.raises(PldFormatError, match="line 2"):
+        with pytest.raises(FileFormatError, match="line 2"):
             load_dataset(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n2 1 1\n0.0 | 1\n")
-        with pytest.raises(PldFormatError, match="dimension mismatch"):
+        with pytest.raises(FileFormatError, match="dimension mismatch"):
             load_dataset(path)
 
     def test_empty_candidates_names_line(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n2 1 2\n0.0 | 1\n1.0 |  \n")
-        with pytest.raises(PldFormatError, match="empty candidate set at line 4"):
+        with pytest.raises(FileFormatError, match="empty candidate set at line 4"):
             load_dataset(path)
 
     def test_truth_outside_candidates_names_line(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n1 1 3\n0.0 | 1,2 | 3\n")
-        with pytest.raises(PldFormatError, match="outside candidate set at line 3"):
+        with pytest.raises(FileFormatError, match="outside candidate set at line 3"):
             load_dataset(path)
 
     def test_unsorted_candidates_rejected(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n1 1 3\n0.0 | 2,1\n")
-        with pytest.raises(PldFormatError, match="ascending"):
+        with pytest.raises(FileFormatError, match="ascending"):
             load_dataset(path)
 
     def test_wrong_feature_count_names_line(self, tmp_path):
         path = tmp_path / "bad.pld"
         path.write_text("pld 1\n1 2 2\n0.0 | 1\n")
-        with pytest.raises(PldFormatError, match="line 3"):
+        with pytest.raises(FileFormatError, match="line 3"):
             load_dataset(path)
 
 
