@@ -112,7 +112,7 @@ def _best_anchored(Q, Yb, lam: float, anchors) -> QPResult:
     anchors = np.asarray(anchors)
     k = anchors.size
     Qk = np.repeat(Q, k, axis=0)
-    P = _update_rows(Qk, np.repeat(Yb, k, axis=0), lam, anchors)
+    P = _update_rows(Qk, _template(np.repeat(Yb, k, axis=0)), lam, anchors)
     obj = ((P - Qk) ** 2).sum(axis=1) - lam * P[np.arange(k), anchors]
     i = int(np.argmin(obj))
     return QPResult(ConfidenceVector(P[i], Yb[0]), float(obj[i]), int(anchors[i]))
@@ -168,36 +168,46 @@ def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
     Row i of the result equals solve_ops(Q[i], Y[i], lam).p: both run the
     same kernel at the surrogate anchors.
     """
-    return _update_rows(*_check_inputs(Q, Y, lam), lam)
+    Q, Yb = _check_inputs(Q, Y, lam)
+    return _update_rows(Q, _template(Yb), lam)
 
 
-def _update_rows(Q: np.ndarray, Yb: np.ndarray, lam: float, anchors=None) -> np.ndarray:
+def _template(Yb: np.ndarray) -> np.ndarray:
+    """The candidate template of a bool mask: 0 at candidates, -inf elsewhere.
+
+    Adding it to outputs masks out the non-candidates; the training loop
+    builds it once and reuses it every iteration.
+    """
+    return np.where(Yb, 0.0, -np.inf)
+
+
+def _update_rows(Q: np.ndarray, template: np.ndarray, lam, anchors=None) -> np.ndarray:
     """Row i projects Q[i] + (lam / 2) e_anchor onto C(anchor); no checks.
 
-    Yb is the bool candidate mask, with at least one candidate per row; the
-    training loop computes it once from a PLDataset, which guarantees that.
-    anchors holds one candidate label per row and defaults to the surrogate
-    anchor, the candidate with the largest output (ties to the lowest label).
+    template is `_template` of the candidate mask, with at least one candidate
+    per row; the training loop builds it from a PLDataset, which guarantees
+    that.  lam is one value or one per row.  anchors holds one candidate label
+    per row and defaults to the surrogate anchor, the candidate with the
+    largest output (ties to the lowest label).  P comes back in Q's memory
+    order, so its column sums (and the ridge fit on it) match a copy of Q.
     """
     m, l = Q.shape
     rows = np.arange(m)
 
-    C = np.where(Yb, Q, -np.inf)
+    C = np.add(Q, template, order="C")  # rows contiguous for the sort
     if anchors is None:
         anchors = np.argmax(C, axis=1)
     C[rows, anchors] += lam / 2.0
     a_val = C[rows, anchors]
     C[rows, anchors] = -np.inf
-
-    order = np.argsort(-C, axis=1, kind="stable")
-    D = np.take_along_axis(C, order, axis=1)  # descending, -inf tail
+    D = np.sort(C, axis=1)[:, ::-1]  # other candidates descending, -inf tail
 
     # V = (anchor value, D...).  Its prefix means are unimodal: they rise while
     # the next value exceeds the running mean.  The anchor pools with the
     # coordinates up to their peak tau, at the peak mean.
     V = np.concatenate([a_val[:, None], D[:, : l - 1]], axis=1)
-    Vfin = np.where(np.isfinite(V), V, 0.0)
-    cum = np.cumsum(Vfin, axis=1)
+    finite = np.isfinite(V)
+    cum = np.cumsum(np.where(finite, V, 0.0), axis=1)
     ranks = np.arange(1, l + 1)
 
     # simplex threshold (Held/Michelot rule) of the pooled vector, the peak
@@ -205,21 +215,32 @@ def _update_rows(Q: np.ndarray, Yb: np.ndarray, lam: float, anchors=None) -> np.
     # on V itself: pooling keeps the prefix sums from rank tau on, and every
     # rank up to tau passes, since each of those values is at least its
     # prefix mean.
-    cond = np.isfinite(V) & (V * ranks > cum - 1.0)
+    cond = finite & (V * ranks > cum - 1.0)
     rho = cond.sum(axis=1)
     theta = (cum[rows, rho - 1] - 1.0) / rho
 
     # anchor level: the peak prefix mean of V, less the threshold
-    means = np.where(np.isfinite(V), cum / ranks, -np.inf)
+    means = np.where(finite, cum / ranks, -np.inf)
     tau = np.argmax(means, axis=1) + 1
     t = means[rows, tau - 1] - theta
     # only the anchor passes the threshold: the row commits, and a - (a - 1)
     # can miss 1 by an ulp (every other coordinate is already exactly 0)
     t[rho == 1] = 1.0
 
-    clipped = np.minimum(np.maximum(D - theta[:, None], 0.0), t[:, None])
-    w = np.where(np.arange(l)[None, :] < (tau - 1)[:, None], t[:, None], clipped)
-    P = np.zeros_like(Q)
-    np.put_along_axis(P, order, w, axis=1)
+    # Label order: clip(C - theta, 0, t), then the anchor and the pooled
+    # entries (C at or above the (tau-1)-th largest other candidate) set to t.
+    # In exact arithmetic a pooled value exceeds the pool mean, so it would
+    # clip to t by itself; but the rounded mean can exceed the smallest
+    # pooled value by an ulp, so they are set explicitly.  Selecting the pool
+    # by value rather than by sorted position differs only where an unpooled
+    # candidate equals the smallest pooled value.  Exact arithmetic rules that
+    # out (the smallest pooled value is above the peak mean, every unpooled
+    # value at or below it), so only a tie made by rounding could set one
+    # more entry to t where clipping would give a value an ulp away.
+    P = np.subtract(C, theta[:, None], out=np.empty_like(Q))
+    np.maximum(P, 0.0, out=P)
+    np.minimum(P, t[:, None], out=P)
+    pool_floor = np.where(tau > 1, D[rows, np.maximum(tau - 2, 0)], np.inf)
+    np.copyto(P, t[:, None], where=C >= pool_floor[:, None])
     P[rows, anchors] = t
     return P

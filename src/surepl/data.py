@@ -304,7 +304,8 @@ def load_dataset(path) -> PLDataset:
         )
 
     features = array("d")  # flat float64 rows, without a Python float per value
-    candidates = np.zeros((m, l), dtype=np.uint8)
+    cand_labels: list[int] = []  # every row's 1-based candidates, row after row
+    cand_counts: list[int] = []
     truth: list[int] = []
     has_truth = lines[2].count("|") == 2
     for i, record in enumerate(lines[2:]):
@@ -331,7 +332,8 @@ def load_dataset(path) -> PLDataset:
             if c <= prev:
                 raise FileFormatError("candidates not in strictly ascending order", lineno)
             prev = c
-            candidates[i, c - 1] = 1
+        cand_labels.extend(cand_idx)
+        cand_counts.append(len(cand_idx))
 
         if has_truth:
             try:
@@ -340,9 +342,17 @@ def load_dataset(path) -> PLDataset:
                 raise FileFormatError("invalid truth label", lineno) from None
             if not 1 <= t <= l:
                 raise FileFormatError(f"truth label {t} out of range [1, {l}]", lineno)
-            if candidates[i, t - 1] != 1:
+            if t not in cand_idx:
                 raise FileFormatError(f"truth label {t} outside candidate set", lineno)
             truth.append(t - 1)
 
+    # allocated only once every row has parsed, so a huge header l fails here
+    try:
+        candidates = np.zeros((m, l), dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: more elements than numpy can index
+        raise FileFormatError(
+            f"cannot allocate the declared {m} x {l} candidate matrix", 2
+        ) from None
+    candidates[np.repeat(np.arange(m), cand_counts), np.array(cand_labels) - 1] = 1
     return PLDataset(np.frombuffer(features).reshape(m, n), candidates,
                      np.array(truth) if has_truth else None)

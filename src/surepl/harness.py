@@ -17,7 +17,9 @@ from scipy.special import betainc
 
 from .baselines import plknn_predict
 from .data import FileFormatError, PLDataset, parse_floats, read_lines, split_folds, write_lines
-from .training import TrainConfig, TrainTrace, predict, train
+from .kernel import gram_matrix
+from .ridge import KernelRidgeSolver
+from .training import TrainConfig, TrainTrace, _alternate, _bandwidth, predict, train
 
 __all__ = [
     "ExperimentReport",
@@ -206,22 +208,43 @@ def grid_search(
 ) -> GridSearchResult:
     """Pick (lam, beta) by inner cross-validation mean accuracy on d_train.
 
-    Every grid point sees the same folds.  Ties prefer the smaller lam, then
-    the smaller beta; every evaluation is logged in `entries`.
+    Every grid point sees the same folds, those `cross_validate` draws from
+    `seed`.  Ties prefer the smaller lam, then the smaller beta; every
+    evaluation is logged in `entries`.
+
+    The search runs fold-major: per fold it takes the subset, the bandwidth
+    and the training and test Gram matrices once, factors the ridge system
+    once per beta, and trains every lam in lockstep on that factor.  Each
+    point gets the accuracies `cross_validate` would give it, up to the
+    round-off of the stacked ridge solve (see `training._alternate`).
     """
     lams = sorted(set(float(v) for v in lam_grid))
     betas = sorted(set(float(v) for v in beta_grid))
     if not lams or not betas:
         raise ValueError("grids must be nonempty")
+    if d_train.truth is None:
+        raise ValueError("cross-validation requires ground truth for scoring")
+    parts, _ = _fold_plan(d_train, inner_folds, seed)
+    accs = np.empty((len(lams), len(betas), len(parts)))
+    for f, (tr, te) in enumerate(parts):
+        d = d_train.subset(tr)
+        sigma = _bandwidth(d.features, base.sigma_override)
+        K = gram_matrix(d.features, d.features, sigma)
+        G = gram_matrix(d_train.features[te], d.features, sigma)
+        for j, beta in enumerate(betas):
+            fits = _alternate(KernelRidgeSolver(K, beta), d, lams, base)
+            for i, (A, b, _, _) in enumerate(fits):
+                # predict's scores: model_outputs computes this same product
+                pred = np.argmax(G @ A + b, axis=1)
+                accs[i, j, f] = accuracy(pred, d_train.truth[te])
     entries = []
     best = None
-    for lam in lams:
-        for beta in betas:
-            cfg = replace(base, lam=lam, beta=beta)
-            rep = cross_validate(d_train, "sure", cfg, inner_folds, seed)
-            entries.append((lam, beta, rep.mean))
-            if best is None or rep.mean > best[2]:
-                best = (lam, beta, rep.mean)
+    for i, lam in enumerate(lams):
+        for j, beta in enumerate(betas):
+            mean = float(accs[i, j].mean())
+            entries.append((lam, beta, mean))
+            if best is None or mean > best[2]:
+                best = (lam, beta, mean)
     return GridSearchResult(best[0], best[1], tuple(entries))
 
 
@@ -320,14 +343,45 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# the keys every report carries, with the JSON types they must hold
+_REPORT_KEYS = {
+    "algo": (str, "a string"),
+    "config": (dict, "an object"),
+    "folds": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "per_fold_accuracy": (list, "a list of numbers"),
+    "mean": ((int, float), "a number"),
+    "std": ((int, float), "a number"),
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def report_from_json(text: str) -> ExperimentReport:
+    """Parse report_to_json's output; a payload that is not an object, or
+    lacks a key or holds it with the wrong type, raises ValueError naming it."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("report must be a JSON object")
+    for key, (kind, what) in _REPORT_KEYS.items():
+        if key not in payload:
+            raise ValueError(f"report lacks key {key!r}")
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"report key {key!r} must be {what}")
+    if not all(map(_is_number, payload["per_fold_accuracy"])):
+        raise ValueError("report key 'per_fold_accuracy' must be a list of numbers")
     traces = None
     if "traces" in payload:
-        traces = tuple(
-            TrainTrace(tuple(t["delta_p"]), t["iterations_run"], t["converged"])
-            for t in payload["traces"]
-        )
+        try:
+            traces = tuple(
+                TrainTrace(tuple(t["delta_p"]), t["iterations_run"], t["converged"])
+                for t in payload["traces"]
+            )
+        except (KeyError, TypeError):
+            raise ValueError("report key 'traces' must be a list of trace objects") from None
     return ExperimentReport(
         payload["algo"],
         payload["config"],

@@ -3,17 +3,20 @@
 Everything here is deliberately simple and derives expected values through a
 different route than the library: exhaustive grids, bisection water-filling,
 a scalar active-set enumeration and projected gradient for the anchored
-projections, long-run gradient descent, LU solves of the unreduced ridge
-systems, quadrature, and full-sort neighbor search.  None of it calls into
-the code paths it checks.
+projections, an argsort round trip for the batched projection, long-run
+gradient descent, LU solves of the unreduced ridge systems, a point-major
+grid search, quadrature, and full-sort neighbor search.  None of it calls
+into the code paths it checks.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from surepl.confidence import InfeasibleSupportError
+from surepl.harness import GridSearchResult, cross_validate
 
 
 # ---------------------------------------------------------------------------
@@ -28,17 +31,23 @@ def random_support(rng, l):
 
 
 def _bisect_box_simplex(q, cap, total, iters=90):
-    """Projection of q onto {0 <= p <= cap, sum(p) = total} via bisection on the shift."""
-    lo = float(q.min()) - max(cap, 1.0) - 1.0
-    hi = float(q.max()) + 1.0
+    """Projection of q onto {0 <= p <= cap, sum(p) = total} via bisection on the shift.
+
+    cap and total may be arrays of one shape; the result then holds one
+    projection per (cap, total) pair along a new last axis, each bisected
+    exactly as a lone scalar call would be.
+    """
+    cap = np.asarray(cap, dtype=float)[..., None]
+    total = np.asarray(total, dtype=float)
+    lo = q.min() - np.maximum(cap[..., 0], 1.0) - 1.0
+    hi = np.full_like(lo, q.max() + 1.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if np.minimum(np.maximum(q - mid, 0.0), cap).sum() >= total:
-            lo = mid
-        else:
-            hi = mid
+        up = np.minimum(np.maximum(q - mid[..., None], 0.0), cap).sum(axis=-1) >= total
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
     theta = 0.5 * (lo + hi)
-    return np.minimum(np.maximum(q - theta, 0.0), cap)
+    return np.minimum(np.maximum(q - theta[..., None], 0.0), cap)
 
 
 def grid_bruteforce_op(q, y, lam, step=1e-3):
@@ -47,8 +56,8 @@ def grid_bruteforce_op(q, y, lam, step=1e-3):
     Support size <= 3 enumerates a barycentric grid over the candidate face of
     the simplex.  Larger supports slice by the value t of the largest
     coordinate: for every anchor and every t on a grid, the remaining
-    coordinates are projected onto the box-capped simplex by bisection and the
-    objective is evaluated directly.
+    coordinates are projected onto the box-capped simplex by bisection (all t
+    at once) and the objective is evaluated directly.
     """
     q = np.asarray(q, dtype=float)
     y = np.asarray(y)
@@ -75,14 +84,12 @@ def grid_bruteforce_op(q, y, lam, step=1e-3):
     best = math.inf
     ts = np.arange(math.ceil(1.0 / (s * step)), int(round(1.0 / step)) + 1) * step
     ts = np.concatenate(([1.0 / s], ts))
+    ts = ts[~((s - 1) * ts < 1.0 - ts - 1e-12)]
     for a in range(s):
         q_other = np.delete(qs, a)
-        for t in ts:
-            if (s - 1) * t < 1.0 - t - 1e-12:
-                continue
-            p_other = _bisect_box_simplex(q_other, t, 1.0 - t)
-            val = (t - qs[a]) ** 2 + ((p_other - q_other) ** 2).sum() - lam * t
-            best = min(best, val)
+        p_other = _bisect_box_simplex(q_other, ts, 1.0 - ts)
+        vals = (ts - qs[a]) ** 2 + ((p_other - q_other) ** 2).sum(axis=1) - lam * ts
+        best = min(best, float(vals.min()))
     return off_const + float(best)
 
 
@@ -244,6 +251,67 @@ def oracle_project(c, y, anchor: int, max_iter: int = 100_000) -> np.ndarray:
             stall = 0
         p = z
     return restore(p)
+
+
+def update_rows_argsort(Q, Yb, lam, anchors=None):
+    """The batched anchored projection by sorted position.
+
+    Row i projects Q[i] + (lam / 2) e_anchor onto C(anchor), where Yb is the
+    bool candidate mask and lam a scalar or one value per row.  The other
+    candidates are argsorted descending; the first tau - 1 of them pool with
+    the anchor at level t, the rest clip to [0, t] below the simplex
+    threshold, and the sorted values are scattered back to label order.
+    anchors defaults to the candidate with the largest output.
+    """
+    m, l = Q.shape
+    rows = np.arange(m)
+    C = np.where(Yb, Q, -np.inf)
+    if anchors is None:
+        anchors = np.argmax(C, axis=1)
+    C[rows, anchors] += lam / 2.0
+    a_val = C[rows, anchors]
+    C[rows, anchors] = -np.inf
+    order = np.argsort(-C, axis=1, kind="stable")
+    D = np.take_along_axis(C, order, axis=1)
+
+    V = np.concatenate([a_val[:, None], D[:, : l - 1]], axis=1)
+    Vfin = np.where(np.isfinite(V), V, 0.0)
+    cum = np.cumsum(Vfin, axis=1)
+    ranks = np.arange(1, l + 1)
+    cond = np.isfinite(V) & (V * ranks > cum - 1.0)
+    rho = cond.sum(axis=1)
+    theta = (cum[rows, rho - 1] - 1.0) / rho
+    means = np.where(np.isfinite(V), cum / ranks, -np.inf)
+    tau = np.argmax(means, axis=1) + 1
+    t = means[rows, tau - 1] - theta
+    t[rho == 1] = 1.0
+
+    clipped = np.minimum(np.maximum(D - theta[:, None], 0.0), t[:, None])
+    w = np.where(np.arange(l)[None, :] < (tau - 1)[:, None], t[:, None], clipped)
+    P = np.zeros_like(Q)
+    np.put_along_axis(P, order, w, axis=1)
+    P[rows, anchors] = t
+    return P
+
+
+# ---------------------------------------------------------------------------
+# grid search, one point at a time
+
+
+def grid_search_pointwise(d_train, lam_grid, beta_grid, inner_folds, seed, base):
+    """Inner cross-validation of every (lam, beta) on its own, through
+    `cross_validate`: one full training run per point and fold.  Ties keep
+    the smaller lam, then the smaller beta."""
+    entries = []
+    best = None
+    for lam in sorted(set(map(float, lam_grid))):
+        for beta in sorted(set(map(float, beta_grid))):
+            cfg = replace(base, lam=lam, beta=beta)
+            mean = cross_validate(d_train, "sure", cfg, inner_folds, seed).mean
+            entries.append((lam, beta, mean))
+            if best is None or mean > best[2]:
+                best = (lam, beta, mean)
+    return GridSearchResult(best[0], best[1], tuple(entries))
 
 
 # ---------------------------------------------------------------------------

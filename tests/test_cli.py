@@ -224,6 +224,8 @@ class TestEntrypoints:
 
 VALID_MODEL = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
 VALID_DATA = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
+VALID_REPORT = ('{"algo": "plknn", "config": {"k": 3}, "folds": 2, "mean": 0.6, '
+                '"per_fold_accuracy": [0.5, 0.7], "seed": 0, "std": 0.1}\n')
 
 
 def _with(valid, line, text):
@@ -232,7 +234,8 @@ def _with(valid, line, text):
     return "\n".join(lines) + "\n"
 
 
-# (command, input file replaced, its text, the line the error must name)
+# (command, input file replaced, its text, the line the error must name, or
+# for a JSON report the text it must contain)
 MALFORMED_INPUTS = [
     ("predict", "model", _with(VALID_MODEL, 3, "x"), 3),
     ("predict", "model", _with(VALID_MODEL, 5, "0.1 oops"), 5),
@@ -250,11 +253,18 @@ MALFORMED_INPUTS = [
     ("train", "data", _with(VALID_DATA, 4, "inf | 1,2 | 2"), 4),
     ("train", "data", _with(VALID_DATA, 3, "1e999 | 1 | 1"), 3),
     ("train", "data", _with(VALID_DATA, 2, "2 1000000000000 2"), 3),
+    ("train", "data", _with(VALID_DATA, 2, "2 1 1000000000000"), 2),
+    ("train", "data", "pld 1\n2 1 1000000000000000000000000000000\n0.0 | 1 | 1\n"
+     "1.0 | 1,100000000000000000000000 | 1\n", 2),
     ("eval", "pred", "1\nx3\n", 2),
     ("eval", "truth", "2.5\n1\n", 1),
     ("eval", "values", "1 20.0\n2 abc\n", 2),
     ("eval", "values", "z 20.0\n2 22.5\n", 1),
     ("eval", "values", "1 20.0\n2 nan\n", 2),
+    ("ttest", "report", "{}\n", "'algo'"),
+    ("ttest", "report", "[]\n", "JSON object"),
+    ("ttest", "report", VALID_REPORT.replace('"per_fold_accuracy": [0.5, 0.7], ', ""),
+     "'per_fold_accuracy'"),
 ]
 
 
@@ -262,7 +272,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
     def test_malformed_input_names_line(self, tmp_path, capsys, command, target, text, line):
         files = {"model": "\n".join(VALID_MODEL) + "\n", "data": "\n".join(VALID_DATA) + "\n",
-                 "pred": "1\n2\n", "truth": "1\n2\n", "values": "1 20.0\n2 22.5\n"}
+                 "pred": "1\n2\n", "truth": "1\n2\n", "values": "1 20.0\n2 22.5\n",
+                 "report": VALID_REPORT}
         files[target] = text
         for name, body in files.items():
             (tmp_path / name).write_text(body)
@@ -272,6 +283,8 @@ class TestErrorPaths:
         elif command == "predict":
             argv = ["predict", "--model", str(tmp_path / "model"),
                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out.txt")]
+        elif command == "ttest":
+            argv = ["ttest", "--a", str(tmp_path / "report"), "--b", str(tmp_path / "report")]
         else:
             argv = ["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
                     "--values", str(tmp_path / "values"), "--mae-k", "1"]
@@ -280,7 +293,10 @@ class TestErrorPaths:
         assert out == ""  # every input is read before anything is printed
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert re.search(rf"\bline {line}\b", err[0])
+        if isinstance(line, int):
+            assert re.search(rf"\bline {line}\b", err[0])
+        else:
+            assert line in err[0]
 
     def test_values_without_mae_k(self, tmp_path, capsys):
         for name in ("pred", "truth", "values"):

@@ -14,6 +14,7 @@ import oracles
 from surepl.confidence import (
     ConfidenceVector,
     InfeasibleSupportError,
+    _template,
     _update_rows,
     solve_op_exact,
     solve_opi,
@@ -348,9 +349,91 @@ def test_kernel_matches_active_set_at_every_anchor(seed, l, lam):
     q = rng.integers(-4, 5, l) / 2.0
     anchors = np.flatnonzero(y)
     k = anchors.size
-    P = _update_rows(np.tile(q, (k, 1)), np.tile(y.astype(bool), (k, 1)), lam, anchors)
+    P = _update_rows(np.tile(q, (k, 1)), _template(np.tile(y.astype(bool), (k, 1))), lam, anchors)
     for p, j in zip(P, anchors):
         assert np.abs(p - oracles.active_set_opi(q, y, lam, j)).max() <= 1e-12
         assert abs(p.sum() - 1.0) <= 1e-12
         assert (p >= 0.0).all() and (p[y == 0] == 0.0).all()
         assert (p <= p[j]).all()
+
+
+LAMS = [0.0, 0.05, 0.3, 1.0, 5.0]
+
+
+def _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
+    """The kernel and oracles.update_rows_argsort on Q laid out in `order`,
+    at random supports and lambdas, once at the surrogate anchors and once
+    at random candidate anchors."""
+    rows, l = Q.shape
+    Y = np.stack([oracles.random_support(rng, l) for _ in range(rows)]).astype(bool)
+    lam = rng.choice(LAMS, rows) if per_row_lam else float(rng.choice(LAMS))
+    Q = np.asarray(Q, order=order)
+    anchors = np.array([rng.choice(np.flatnonzero(y)) for y in Y])
+    for a in (None, anchors):
+        P = _update_rows(Q, _template(Y), lam, a)
+        ref = oracles.update_rows_argsort(Q, Y, lam, a)
+        assert P.flags.c_contiguous == Q.flags.c_contiguous
+        assert P.flags.f_contiguous == Q.flags.f_contiguous
+        yield Q, Y, lam, a, P, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 11), st.booleans(), st.sampled_from("CF"))
+def test_kernel_matches_argsort_oracle_on_random_rows(seed, l, per_row_lam, order):
+    """Sorting values in place of the argsort round trip changes no bit on
+    rows without exact ties, and P keeps the memory order of Q."""
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(0.0, 1.0, (int(rng.integers(1, 40)), l)) / 3.0
+    for *_, P, ref in _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
+        assert np.array_equal(P, ref)
+
+
+def _tied_rows(rng, rows, l, kind):
+    """Rows full of exact ties.  Half-integers tie exactly but never at the
+    pool boundary: exact arithmetic puts the smallest pooled value above the
+    pool mean and every unpooled value at or below it.  Repeats of a few
+    non-dyadic values, an ulp or two apart, make the rounded prefix means
+    wander, so the boundary can fall inside a run of equal values."""
+    if kind == "half":
+        return rng.integers(-4, 5, (rows, l)) / 2.0
+    x = rng.uniform(-1.0, 1.0)
+    pool = np.concatenate([x + np.arange(-2, 3) * np.spacing(x), rng.uniform(-1.0, 1.0, 2)])
+    return rng.choice(pool, (rows, l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 11), st.booleans(), st.sampled_from("CF"),
+       st.sampled_from(["half", "repeat"]))
+def test_kernel_matches_argsort_oracle_on_tied_rows(seed, l, per_row_lam, order, kind):
+    """The kernel pools by value and the oracle by sorted position, so a row
+    may differ only where an unpooled candidate ties the smallest pooled
+    value: the kernel holds t there and the oracle a clipped value an ulp
+    away.  Pooling by value gives equal candidate outputs equal confidences."""
+    rng = np.random.default_rng(seed)
+    Q = _tied_rows(rng, int(rng.integers(1, 40)), l, kind)
+    for Q, Y, lam, a, P, ref in _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
+        anchors = np.argmax(np.where(Y, Q, -np.inf), axis=1) if a is None else a
+        for i in range(Q.shape[0]):
+            c = np.where(Y[i], Q[i], -np.inf)
+            c[anchors[i]] = -np.inf
+            others = np.flatnonzero(np.isfinite(c))
+            for j in others:
+                assert (P[i, others[c[others] == c[j]]] == P[i, j]).all()
+            t = P[i, anchors[i]]
+            pooled = others[ref[i, others] == t]
+            for j in np.flatnonzero(P[i] != ref[i]):
+                assert kind == "repeat" and P[i, j] == t
+                assert pooled.size and c[j] == c[pooled].min()
+
+
+def test_pool_boundary_inside_a_tie():
+    """A row whose rounded prefix means peak inside a run of equal outputs:
+    the oracle splits the run by an ulp, the kernel keeps it equal."""
+    x = 0.8603286042588343
+    Q = np.array([[0.015942371470798685, x, x, x, -0.9272510064242274, x]])
+    Y = np.ones_like(Q, dtype=bool)
+    P = _update_rows(Q, _template(Y), 0.0)
+    ref = oracles.update_rows_argsort(Q, Y, 0.0)
+    assert not np.array_equal(P, ref)
+    assert (P[0, [1, 2, 3, 5]] == P[0, 1]).all()
+    assert len(set(ref[0, [1, 2, 3, 5]])) == 2

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from surepl.baselines import KnnConfig
-from surepl.data import SyntheticSpec, corrupt
+from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import (
     ExperimentReport,
     accuracy,
@@ -149,8 +149,6 @@ class TestCrossValidate:
 
     def test_requires_truth(self):
         d = corrupted_blobs(1)
-        from surepl.data import PLDataset
-
         unlabeled = PLDataset(d.features, d.candidates, None)
         with pytest.raises(ValueError, match="ground truth"):
             cross_validate(unlabeled, "plknn", KnnConfig(k=3), folds=5, seed=0)
@@ -212,6 +210,39 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="nonempty"):
             grid_search(d, [], [0.1], inner_folds=3, seed=0)
 
+    # (seed, lam grid, beta grid, base config): lambda 0, literal init, a
+    # bandwidth override, an iteration cap that stops most blocks, and the
+    # grids of acceptance criterion 6
+    POINTWISE_CASES = [
+        (0, (0.0, 0.05, 0.3, 1.0), (0.01, 0.5), TrainConfig(max_iter=40)),
+        (1, (0.01, 0.3, 5.0), (0.05, 1.0), TrainConfig(init="literal", max_iter=40)),
+        (2, (0.001, 0.1, 1.0), (0.01, 0.1), TrainConfig(sigma_override=1.5, max_iter=40)),
+        (3, (0.0, 0.3, 1.0), (0.01, 0.05, 0.5), TrainConfig(max_iter=3)),
+        (4, (0.001, 0.05, 0.3, 1.0), (0.01, 0.05, 0.5), TrainConfig(max_iter=50, tol=1e-3)),
+        (4, (0.0,), (0.01, 0.05, 0.5), TrainConfig(max_iter=50, tol=1e-3)),
+    ]
+
+    @pytest.mark.parametrize("seed, lams, betas, base", POINTWISE_CASES)
+    def test_matches_pointwise_oracle(self, seed, lams, betas, base):
+        """Fold-major search against one cross_validate per grid point."""
+        if seed == 4:  # criterion 6's data
+            clean = make_blobs_dataset(200, classes=3, separation=4.0, spread=1.0, seed=seed)
+            d = corrupt(clean, SyntheticSpec(p=0.9, r=2, mode="random", seed=seed + 1000))
+        else:
+            d = corrupted_blobs(seed + 30, m=80, p=0.8, r=1)
+        got = grid_search(d, lams, betas, inner_folds=4, seed=seed, base=base)
+        want = oracles.grid_search_pointwise(d, lams, betas, 4, seed, base)
+        assert (got.lam, got.beta) == (want.lam, want.beta)
+        assert [e[:2] for e in got.entries] == [e[:2] for e in want.entries]
+        assert np.abs(np.subtract([e[2] for e in got.entries],
+                                  [e[2] for e in want.entries])).max() <= 1e-12
+
+    def test_requires_truth(self):
+        d = corrupted_blobs(8, m=30)
+        unlabeled = PLDataset(d.features, d.candidates, None)
+        with pytest.raises(ValueError, match="ground truth"):
+            grid_search(unlabeled, [0.3], [0.1], inner_folds=3, seed=0)
+
 
 class TestNestedCrossValidate:
     def test_runs_end_to_end_and_logs_selection(self):
@@ -245,6 +276,21 @@ class TestReportSerialization:
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="mean"):
             ExperimentReport("a", {}, 2, 0, (0.5, 0.7), 0.9, 0.1)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: [], "JSON object"),
+        (lambda p: {}, "lacks key 'algo'"),
+        (lambda p: {k: v for k, v in p.items() if k != "std"}, "lacks key 'std'"),
+        (lambda p: {**p, "folds": "2"}, "'folds' must be an integer"),
+        (lambda p: {**p, "mean": True}, "'mean' must be a number"),
+        (lambda p: {**p, "per_fold_accuracy": [0.5, "x"]}, "'per_fold_accuracy'"),
+        (lambda p: {**p, "traces": [{"delta_p": [0.1]}]}, "'traces'"),
+    ])
+    def test_malformed_payload_names_key(self, edit, message):
+        rep = ExperimentReport.from_folds("plknn", {"k": 5}, 2, 0, [0.5, 0.7])
+        payload = edit(json.loads(report_to_json(rep)))
+        with pytest.raises(ValueError, match=message):
+            report_from_json(json.dumps(payload))
 
 
 class TestLabelFiles:

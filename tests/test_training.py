@@ -8,11 +8,39 @@ from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
 from surepl.ridge import KernelModel, fit_kernel, model_outputs
 from surepl.confidence import update_confidence_matrix
-from surepl.training import TrainConfig, TrainTrace, predict, train
+from surepl.ridge import KernelRidgeSolver
+from surepl.training import TrainConfig, TrainTrace, _alternate, predict, train
 
 
 def supervised_blobs(m=60, classes=3, seed=0):
     return make_blobs_dataset(m, classes=classes, separation=6.0, spread=0.6, seed=seed)
+
+
+class TestLockstep:
+    """Several lambdas trained together on one ridge factor."""
+
+    @pytest.mark.parametrize("init, max_iter", [("normalized", 60), ("literal", 60),
+                                                ("normalized", 4)])
+    def test_each_lambda_runs_as_if_alone(self, init, max_iter):
+        clean = make_blobs_dataset(90, classes=4, separation=4.0, spread=1.0, seed=3)
+        d = corrupt(clean, SyntheticSpec(p=0.8, r=2, mode="random", seed=4))
+        lams = [0.0, 0.05, 0.3, 1.0, 5.0]
+        cfg = TrainConfig(beta=0.05, init=init, max_iter=max_iter, tol=1e-3)
+        model, _, _ = train(d, cfg)
+        K = gram_matrix(d.features, d.features, model.sigma)
+        fits = _alternate(KernelRidgeSolver(K, cfg.beta), d, lams, cfg)
+        assert len({f[3].iterations_run for f in fits}) > 1 or max_iter == 4
+        for lam, (A, b, P, trace) in zip(lams, fits):
+            ref_model, ref_P, ref_trace = train(d, TrainConfig(lam=lam, beta=0.05, init=init,
+                                                               max_iter=max_iter, tol=1e-3))
+            # the same iterations; the stacked solve moves the fit by round-off
+            assert (trace.iterations_run, trace.converged) == (
+                ref_trace.iterations_run, ref_trace.converged)
+            assert np.abs(np.subtract(trace.delta_p, ref_trace.delta_p)).max() <= 1e-9
+            assert np.abs(A - ref_model.A).max() <= 1e-9 * np.abs(ref_model.A).max()
+            assert np.abs(b - ref_model.b).max() <= 1e-9
+            assert np.abs(P - ref_P).max() <= 1e-9
+            assert A.flags.f_contiguous and P.flags.f_contiguous
 
 
 class TestTrain:
