@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import PLDataset
+from .data import PLDataset, check_query
 
 __all__ = ["KnnConfig", "plknn_predict"]
 
@@ -21,6 +21,22 @@ class KnnConfig:
             raise ValueError("k must be at least 1")
 
 
+def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of each row of `dists` in stable argsort order.
+
+    A partition finds each row's k-th smallest distance, every column at or
+    below it is kept (so ties stay in), and one lexsort orders the kept
+    entries by (row, distance, column); the first k per row are exactly
+    `argsort(dists, kind="stable")[:, :k]`.  Distances must be finite.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(dists <= kth[:, None])
+    cols = cols[np.lexsort((cols, dists[rows, cols], rows))]
+    kept = np.bincount(rows, minlength=dists.shape[0])
+    starts = np.cumsum(kept) - kept
+    return cols[starts[:, None] + np.arange(k)]
+
+
 def plknn_predict(train: PLDataset, X_query, cfg: KnnConfig) -> np.ndarray:
     """Predict by counting how often each label appears among the k nearest
     neighbors' candidate sets.
@@ -30,12 +46,7 @@ def plknn_predict(train: PLDataset, X_query, cfg: KnnConfig) -> np.ndarray:
     """
     if cfg.k >= train.m:
         raise ValueError(f"k={cfg.k} must be smaller than the {train.m} training instances")
-    X_query = np.asarray(X_query, dtype=np.float64)
-    if X_query.ndim != 2 or X_query.shape[1] != train.n:
-        raise ValueError(
-            f"dimension mismatch: query has {X_query.shape[-1]} features, training has {train.n}"
-        )
-    dists = cdist(X_query, train.features)
-    nn = np.argsort(dists, axis=1, kind="stable")[:, : cfg.k]
+    X_query = check_query(X_query, train.n)
+    nn = _nearest(cdist(X_query, train.features), cfg.k)
     votes = train.candidates[nn].sum(axis=1)
     return np.argmax(votes, axis=1)

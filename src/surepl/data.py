@@ -41,6 +41,7 @@ __all__ = [
     "write_lines",
     "format_float",
     "parse_floats",
+    "check_query",
     "corrupt",
     "split_folds",
 ]
@@ -166,6 +167,24 @@ class PLDataset:
         idx = np.asarray(indices, dtype=np.int64)
         truth = None if self.truth is None else self.truth[idx]
         return PLDataset(self.features[idx], self.candidates[idx], truth)
+
+
+def check_query(X_query, n_features: int) -> np.ndarray:
+    """Query rows as a float64 (q, n_features) matrix of finite values.
+
+    Anything else raises ValueError; a non-finite value names its 0-based row.
+    """
+    X = np.asarray(X_query, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"query must be a 2-D matrix, got shape {X.shape}")
+    if X.shape[1] != n_features:
+        raise ValueError(
+            f"dimension mismatch: query has {X.shape[1]} features, expected {n_features}"
+        )
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value in query row {int(np.argmin(finite))}")
+    return X
 
 
 @dataclass(frozen=True)

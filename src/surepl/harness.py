@@ -18,7 +18,7 @@ from scipy.special import betainc
 from .baselines import plknn_predict
 from .data import FileFormatError, PLDataset, parse_floats, read_lines, split_folds, write_lines
 from .kernel import gram_matrix
-from .ridge import KernelRidgeSolver
+from .ridge import KernelRidgeSolver, _scores
 from .training import TrainConfig, TrainTrace, _alternate, _bandwidth, predict, train
 
 __all__ = [
@@ -234,8 +234,7 @@ def grid_search(
         for j, beta in enumerate(betas):
             fits = _alternate(KernelRidgeSolver(K, beta), d, lams, base)
             for i, (A, b, _, _) in enumerate(fits):
-                # predict's scores: model_outputs computes this same product
-                pred = np.argmax(G @ A + b, axis=1)
+                pred = np.argmax(_scores(G, A, b), axis=1)  # predict's scores
                 accs[i, j, f] = accuracy(pred, d_train.truth[te])
     entries = []
     best = None

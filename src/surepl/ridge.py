@@ -9,9 +9,12 @@ the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
 
 The kernel system matrix is constant across alternating-minimization
 iterations, so `KernelRidgeSolver` factors it once, re-solves for each new P
-and scores the training set.  All of that runs in scipy's BLAS/LAPACK: numpy
-and scipy may each bundle their own threaded BLAS, and alternating between
-the two makes their worker threads compete for the same cores.
+and scores the training set.  Query rows are scored by `_scores`, in row
+blocks of the query Gram matrix of at most SCORE_BLOCK_BYTES each, so
+`model_outputs` never holds the whole query Gram matrix.  All of that runs
+in scipy's BLAS/LAPACK: numpy and scipy may each bundle their own threaded
+BLAS, and alternating between the two makes their worker threads compete
+for the same cores.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dgemm, dgemv
 
-from .data import FileFormatError, format_float, parse_floats, read_lines, write_lines
+from .data import FileFormatError, check_query, format_float, parse_floats, read_lines, write_lines
 from .kernel import gram_matrix
 
 __all__ = [
@@ -41,6 +44,8 @@ __all__ = [
 MODEL_MAGIC = "sure-model 1"
 RCOND_FLOOR = 1e-13
 SYMMETRY_TOL = 1e-8
+# largest row block of a query Gram matrix that query scoring holds at once
+SCORE_BLOCK_BYTES = 16 * 2**20
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -201,16 +206,44 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return KernelRidgeSolver(K, beta).solve(P)
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row slices of a rows x cols float64 matrix, each within SCORE_BLOCK_BYTES
+    (or one row).
+
+    The blocks are of near-equal size: a small remainder block could take a
+    different BLAS kernel and round its scores differently.
+    """
+    per_block = max(1, SCORE_BLOCK_BYTES // (8 * cols))
+    count = max(1, -(-rows // per_block))
+    edges = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _scores(G: np.ndarray, A, b) -> np.ndarray:
+    """G @ A + b for a C-ordered query Gram matrix G, one dgemm per row block.
+
+    Grid search scores its held-out Gram matrix here too, so its predictions
+    match `predict`'s bit for bit.  G[s].T is a Fortran-ordered view, so
+    dgemm reads each block without a copy.
+    """
+    out = np.empty((G.shape[0], A.shape[1]))
+    for s in _row_blocks(*G.shape):
+        out[s] = dgemm(1.0, G[s].T, A, trans_a=True)
+    out += b
+    return out
+
+
 def model_outputs(model: KernelModel, X_query) -> np.ndarray:
-    """Score matrix for query rows: gram(X_query, train_X) @ A + b."""
-    X_query = np.asarray(X_query, dtype=np.float64)
-    if X_query.ndim != 2 or X_query.shape[1] != model.train_X.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: query has {X_query.shape[-1]} features, "
-            f"model expects {model.train_X.shape[1]}"
-        )
-    G = gram_matrix(X_query, model.train_X, model.sigma)
-    return G @ model.A + model.b
+    """Score matrix for query rows: gram(X_query, train_X) @ A + b.
+
+    The query Gram matrix is built and scored one row block at a time.
+    """
+    X = model.train_X
+    X_query = check_query(X_query, X.shape[1])
+    out = np.empty((X_query.shape[0], model.A.shape[1]))
+    for s in _row_blocks(X_query.shape[0], X.shape[0]):
+        out[s] = _scores(gram_matrix(X_query[s], X, model.sigma), model.A, model.b)
+    return out
 
 
 def save_model(model: KernelModel, path) -> None:

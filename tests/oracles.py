@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
 from surepl.confidence import InfeasibleSupportError
 from surepl.harness import GridSearchResult, cross_validate
@@ -409,6 +410,16 @@ def t_two_tailed_pvalue_quad(t, df):
 
 # ---------------------------------------------------------------------------
 # neighbor voting by full sort
+
+
+def plknn_predict_argsort(train, X_query, k):
+    """PLKNN by a full stable argsort of every query's distances.
+
+    Returns the (q, k) neighbor indices and the predicted labels; distance
+    ties prefer the lower training index, vote ties the lower label.
+    """
+    nn = np.argsort(cdist(X_query, train.features), axis=1, kind="stable")[:, :k]
+    return nn, np.argmax(train.candidates[nn].sum(axis=1), axis=1)
 
 
 def knn_exhaustive_predict(train_X, train_candidates, X_query, k):

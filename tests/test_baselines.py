@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles
-from surepl.baselines import KnnConfig, plknn_predict
+from surepl.baselines import KnnConfig, _nearest, plknn_predict
 from surepl.data import PLDataset
 
 
@@ -90,3 +93,56 @@ class TestPlknn:
         train = make_train(rng)
         with pytest.raises(ValueError, match="dimension mismatch"):
             plknn_predict(train, rng.standard_normal((2, 7)), KnnConfig(k=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_names_row(self, bad):
+        rng = np.random.default_rng(6)
+        train = make_train(rng)
+        queries = rng.standard_normal((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="query row 2"):
+            plknn_predict(train, queries, KnnConfig(k=3))
+
+    def test_query_must_be_a_matrix(self):
+        train = make_train(np.random.default_rng(7))
+        with pytest.raises(ValueError, match="2-D"):
+            plknn_predict(train, np.zeros(3), KnnConfig(k=3))
+
+    def test_empty_query(self):
+        train = make_train(np.random.default_rng(8))
+        pred = plknn_predict(train, np.empty((0, 3)), KnnConfig(k=3))
+        assert pred.shape == (0,) and pred.dtype.kind == "i"
+
+
+@st.composite
+def tied_knn_problems(draw):
+    """Integer-grid features, so squared distances are exact and ties common,
+    with some training rows duplicated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 4))
+    base = rng.integers(-2, 3, size=(draw(st.integers(1, 20)), n)).astype(float)
+    dups = rng.integers(0, len(base), size=draw(st.integers(0, 10)))
+    features = np.vstack([base, base[dups]])
+    if len(features) < 2:
+        features = np.vstack([features, features])
+    features = features[rng.permutation(len(features))]
+    candidates = np.stack([oracles.random_support(rng, l) for _ in range(len(features))])
+    queries = rng.integers(-3, 4, size=(draw(st.integers(0, 12)), n)).astype(float)
+    k = draw(st.integers(1, len(features) - 1))
+    return PLDataset(features, candidates), queries, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_knn_problems())
+def test_partial_selection_matches_full_sort(problem):
+    """Neighbors and labels equal the stable full sort's and the exhaustive
+    search's, under heavy distance ties, duplicate rows and k up to m - 1."""
+    train, queries, k = problem
+    nn_ref, pred_ref = oracles.plknn_predict_argsort(train, queries, k)
+    assert np.array_equal(_nearest(cdist(queries, train.features), k), nn_ref)
+    pred = plknn_predict(train, queries, KnnConfig(k=k))
+    assert pred.shape == (len(queries),) and pred.dtype.kind == "i"
+    assert np.array_equal(pred, pred_ref)
+    exhaustive = oracles.knn_exhaustive_predict(train.features, train.candidates, queries, k)
+    assert np.array_equal(pred, exhaustive)

@@ -298,6 +298,18 @@ class TestErrorPaths:
         else:
             assert line in err[0]
 
+    # 40 rows in 2 folds leave 20 training rows per fold
+    @pytest.mark.parametrize("k, message", [("0", "k must be at least 1"),
+                                            ("20", "k=20 must be smaller than the 20")])
+    def test_plknn_bad_k(self, tmp_path, pl_file, capsys, k, message):
+        assert main(["cv", "--data", str(pl_file), "--algo", "plknn", "--k", k,
+                     "--folds", "2", "--seed", "0", "--report", str(tmp_path / "r.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "r.json").exists()
+
     def test_values_without_mae_k(self, tmp_path, capsys):
         for name in ("pred", "truth", "values"):
             (tmp_path / name).write_text("1\n")

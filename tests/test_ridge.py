@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from surepl import ridge
 from surepl.kernel import gram_matrix
 from surepl.ridge import (
     KernelModel,
@@ -17,6 +18,7 @@ from surepl.ridge import (
     model_outputs,
     save_model,
 )
+from surepl.training import predict
 
 
 def random_problem(rng, m, n, l):
@@ -266,6 +268,47 @@ class TestModelOutputs:
         model = self.make_model(rng)
         with pytest.raises(ValueError, match="dimension mismatch"):
             model_outputs(model, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("score", [model_outputs, predict])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_names_row(self, score, bad):
+        rng = np.random.default_rng(17)
+        model = self.make_model(rng)
+        queries = rng.standard_normal((5, 3))
+        queries[3, 0] = bad
+        with pytest.raises(ValueError, match="query row 3"):
+            score(model, queries)
+
+    def test_holds_one_block_of_the_query_gram(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        model = self.make_model(rng, m=200)
+        queries = rng.standard_normal((4000, 3))
+        gram_bytes = 4000 * 200 * 8
+        monkeypatch.setattr(ridge, "SCORE_BLOCK_BYTES", gram_bytes // 8)
+        tracemalloc.start()
+        try:
+            model_outputs(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gram_bytes / 4
+
+    def test_blocks_score_like_separate_queries(self, monkeypatch):
+        """A multi-block query scores each block as that block alone would,
+        and grid search's whole-Gram scoring agrees bit for bit."""
+        rng = np.random.default_rng(16)
+        model = self.make_model(rng, m=300, l=5)
+        queries = rng.standard_normal((1000, 3))
+        monkeypatch.setattr(ridge, "SCORE_BLOCK_BYTES", 300 * 8 * 256)
+        blocks = ridge._row_blocks(1000, 300)
+        assert [s.stop - s.start for s in blocks] == [250] * 4
+        whole = model_outputs(model, queries)
+        alone = np.vstack([model_outputs(model, queries[s]) for s in blocks])
+        assert np.array_equal(whole.argmax(axis=1), alone.argmax(axis=1))
+        assert np.array_equal(whole, alone)
+        G = gram_matrix(queries, model.train_X, model.sigma)
+        assert np.array_equal(ridge._scores(G, model.A, model.b), whole)
+        assert np.abs(whole - (G @ model.A + model.b)).max() <= 1e-12
 
 
 class TestModelSerialization:
