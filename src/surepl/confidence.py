@@ -188,8 +188,8 @@ def _update_rows(Q: np.ndarray, template: np.ndarray, lam, anchors=None) -> np.n
     per row; the training loop builds it from a PLDataset, which guarantees
     that.  lam is one value or one per row.  anchors holds one candidate label
     per row and defaults to the surrogate anchor, the candidate with the
-    largest output (ties to the lowest label).  P comes back in Q's memory
-    order, so its column sums (and the ridge fit on it) match a copy of Q.
+    largest output (ties to the lowest label).  P comes back as a new
+    C-ordered array.
     """
     m, l = Q.shape
     rows = np.arange(m)
@@ -237,7 +237,7 @@ def _update_rows(Q: np.ndarray, template: np.ndarray, lam, anchors=None) -> np.n
     # out (the smallest pooled value is above the peak mean, every unpooled
     # value at or below it), so only a tie made by rounding could set one
     # more entry to t where clipping would give a value an ulp away.
-    P = np.subtract(C, theta[:, None], out=np.empty_like(Q))
+    P = C - theta[:, None]
     np.maximum(P, 0.0, out=P)
     np.minimum(P, t[:, None], out=P)
     pool_floor = np.where(tau > 1, D[rows, np.maximum(tau - 2, 0)], np.inf)

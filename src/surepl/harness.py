@@ -149,7 +149,10 @@ def _fold_plan(d: PLDataset, folds: int, seed: int):
     """Master-seeded split plus one independent seed per fold.
 
     Nested cross-validation seeds each fold's inner grid search with it.
+    Every fold is scored against the truth, so a dataset without it fails here.
     """
+    if d.truth is None:
+        raise ValueError("cross-validation requires ground truth for scoring")
     master = np.random.default_rng(seed)
     split_seed = int(master.integers(2**63 - 1))
     fold_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]
@@ -178,8 +181,6 @@ def cross_validate(
     Test instances are presented as bare feature rows; their candidate sets
     are never shown to the model.
     """
-    if d.truth is None:
-        raise ValueError("cross-validation requires ground truth for scoring")
     parts, _ = _fold_plan(d, folds, seed)
     accs, traces = [], []
     for tr, te in parts:
@@ -222,8 +223,6 @@ def grid_search(
     betas = sorted(set(float(v) for v in beta_grid))
     if not lams or not betas:
         raise ValueError("grids must be nonempty")
-    if d_train.truth is None:
-        raise ValueError("cross-validation requires ground truth for scoring")
     parts, _ = _fold_plan(d_train, inner_folds, seed)
     accs = np.empty((len(lams), len(betas), len(parts)))
     for f, (tr, te) in enumerate(parts):
@@ -258,8 +257,6 @@ def nested_cross_validate(
 ) -> ExperimentReport:
     """Full evaluation protocol: per outer fold, select (lam, beta) by inner
     cross-validation on the training split, refit, and score the held-out fold."""
-    if d.truth is None:
-        raise ValueError("cross-validation requires ground truth for scoring")
     parts, fold_seeds = _fold_plan(d, folds, seed)
     accs, chosen = [], []
     for (tr, te), fseed in zip(parts, fold_seeds):
@@ -319,26 +316,11 @@ def make_blobs_dataset(
 # report and label-file plumbing
 
 
-def _trace_dict(trace: TrainTrace) -> dict:
-    return {
-        "delta_p": list(trace.delta_p),
-        "iterations_run": trace.iterations_run,
-        "converged": trace.converged,
-    }
-
-
 def report_to_json(report: ExperimentReport) -> str:
-    payload = {
-        "algo": report.algo,
-        "config": report.config,
-        "folds": report.folds,
-        "seed": report.seed,
-        "per_fold_accuracy": list(report.per_fold_accuracy),
-        "mean": report.mean,
-        "std": report.std,
-    }
-    if report.traces is not None:
-        payload["traces"] = [_trace_dict(t) for t in report.traces]
+    """The report as JSON with sorted keys; `traces` appears only when set."""
+    payload = asdict(report)
+    if payload["traces"] is None:
+        del payload["traces"]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -360,8 +342,12 @@ def _is_number(v) -> bool:
 
 def report_from_json(text: str) -> ExperimentReport:
     """Parse report_to_json's output; a payload that is not an object, or
-    lacks a key or holds it with the wrong type, raises ValueError naming it."""
-    payload = json.loads(text)
+    lacks a key or holds it with the wrong type, raises ValueError naming it,
+    as does JSON nested too deeply for the parser."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("report JSON is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("report must be a JSON object")
     for key, (kind, what) in _REPORT_KEYS.items():

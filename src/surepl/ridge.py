@@ -9,12 +9,14 @@ the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
 
 The kernel system matrix is constant across alternating-minimization
 iterations, so `KernelRidgeSolver` factors it once, re-solves for each new P
-and scores the training set.  Query rows are scored by `_scores`, in row
-blocks of the query Gram matrix of at most SCORE_BLOCK_BYTES each, so
-`model_outputs` never holds the whole query Gram matrix.  All of that runs
-in scipy's BLAS/LAPACK: numpy and scipy may each bundle their own threaded
-BLAS, and alternating between the two makes their worker threads compete
-for the same cores.
+and scores the training set.  The factor is checked once, when it is made;
+each solve copies P once into Fortran order and checks only that copy, so a
+fit depends on P's values and not on its memory layout.  Query rows are
+scored by `_scores`, in row blocks of the query Gram matrix of at most
+SCORE_BLOCK_BYTES each, so `model_outputs` never holds the whole query Gram
+matrix.  All of that runs in scipy's BLAS/LAPACK: numpy and scipy may each
+bundle their own threaded BLAS, and alternating between the two makes their
+worker threads compete for the same cores.
 """
 
 from __future__ import annotations
@@ -177,11 +179,20 @@ class KernelRidgeSolver:
         self._factor, self.rcond = _cholesky_with_cond(M, "kernel ridge")
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
-        P = np.asarray(P, dtype=np.float64)
-        if P.ndim != 2 or P.shape[0] != self.m:
+        """(A, b) for the confidence matrix P; depends on P's values only.
+
+        P is copied once into Fortran order, the layout LAPACK solves in, so
+        its column sums and the solve run alike for any input layout.  The
+        factor was checked when it was made, so only P is checked here.
+        """
+        R = np.array(P, dtype=np.float64, order="F")
+        if R.ndim != 2 or R.shape[0] != self.m:
             raise ValueError("P must have one row per training instance")
-        psum = P.sum(axis=0)
-        A = cho_solve(self._factor, P - psum / self.m)
+        if not np.isfinite(R).all():
+            raise ValueError("P must be finite")
+        psum = R.sum(axis=0)
+        R -= psum / self.m
+        A = cho_solve(self._factor, R, overwrite_b=True, check_finite=False)
         b = (psum - dgemv(1.0, A, self.ksum, trans=1)) / self.m
         return A, b
 

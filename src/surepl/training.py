@@ -5,7 +5,9 @@ matrix P, scores the training set, and re-solves every row's confidence
 program on those scores.  The loop stops once the Frobenius change of P drops
 to the tolerance or the iteration budget runs out.  One loop, `_alternate`,
 runs any number of lambdas in lockstep on one ridge factor; `train` is its
-single-lambda case and grid search its many-lambda one.
+single-lambda case and grid search its many-lambda one.  Each lambda's
+confidence matrix is a plain m x l row block of one stacked array; memory
+layout is left to the ridge solve, whose fit depends on values only.
 """
 
 from __future__ import annotations
@@ -89,35 +91,19 @@ def _bandwidth(X: np.ndarray, sigma_override: float | None) -> float:
     return mean_pairwise_distance(X)
 
 
-def _row_stack(Q: np.ndarray, k: int) -> np.ndarray:
-    """m x (k*l) column blocks as (k*m) x l row blocks; Q itself when k = 1."""
-    m = Q.shape[0]
-    return Q.T.reshape(k, -1, m).transpose(0, 2, 1).reshape(k * m, -1)
-
-
-def _col_stack(P: np.ndarray, k: int) -> np.ndarray:
-    """(k*m) x l row blocks as m x (k*l) column blocks in Fortran order, so
-    each block is Fortran-contiguous; P itself when k = 1 and P is Fortran."""
-    km, l = P.shape
-    return P.reshape(k, km // k, l).transpose(0, 2, 1).reshape(k * l, km // k).T
-
-
 def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) -> list:
     """The alternating loop for every lam in `lams` at once, on one factored
     ridge system; cfg supplies init, max_iter and tol.  Returns one
     (A, b, P, trace) per lam, in order.
 
-    Each iteration makes one ridge solve on the column-stacked confidence
-    matrices of the lams still running, one scoring call, and one confidence
-    update on the row-stacked scores, with one lam per row.  A lam's block
+    The confidence matrices of the lams still running are kept stacked by
+    rows, one m x l block per lam, with one lam per row in the confidence
+    update.  Each iteration makes one ridge solve on those blocks side by
+    side, one scoring call, and one confidence update.  A lam's block
     freezes once its own change drops to the tolerance, so it runs the
     iterations it would run alone.  Its A may differ from a solve of its own
     block by round-off (a multi-column triangular solve blocks its work
     differently); with one lam the loop is exactly the single fit.
-
-    Every block reaches `solve` and `dnrm2` Fortran-ordered, like the scores
-    it came from: numpy sums the columns of a Fortran array pairwise and
-    those of a C array row by row, so the order moves the fit's bits.
     """
     m, l = d.m, d.l
     mask = d.candidates.astype(bool)  # PLDataset guarantees 0/1 rows, none empty
@@ -125,31 +111,31 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     P = Y / Y.sum(axis=1, keepdims=True) if cfg.init == "normalized" else Y.copy()
     lams = np.asarray(lams, dtype=np.float64)
     live = list(range(lams.size))
-    P = np.tile(P, (1, lams.size))  # C-ordered like P, so each column sums alike
+    P = np.tile(P, (lams.size, 1))
     template = _template(np.tile(mask, (lams.size, 1)))  # its first k*m rows serve k blocks
     deltas: list[list[float]] = [[] for _ in live]
     fits: list = [None] * lams.size
     for it in range(cfg.max_iter):
         k = len(live)
-        A, b = solver.solve(P)
-        Q = _row_stack(solver.outputs(A, b), k)
-        P_new = _col_stack(_update_rows(Q, template[: k * m], np.repeat(lams[live], m)), k)
+        A, b = solver.solve(np.hstack(P.reshape(k, m, l)))
+        Q = np.vstack(np.hsplit(solver.outputs(A, b), k))
+        P_new = _update_rows(Q, template[: k * m], np.repeat(lams[live], m))
         keep = []
         for i, lam_id in enumerate(live):
-            blk = slice(i * l, (i + 1) * l)
-            # scipy's BLAS, like every other BLAS call in the loop (see ridge.py)
-            delta = float(dnrm2((P_new[:, blk] - P[:, blk]).ravel(order="K")))
+            rows, cols = slice(i * m, (i + 1) * m), slice(i * l, (i + 1) * l)
+            # scipy's BLAS, like every other BLAS call in the loop (see ridge.py),
+            # over the entries in one fixed (column-major) order
+            delta = float(dnrm2((P_new[rows] - P[rows]).ravel(order="F")))
             deltas[lam_id].append(delta)
             if delta <= cfg.tol or it == cfg.max_iter - 1:
                 trace = TrainTrace(tuple(deltas[lam_id]), it + 1, delta <= cfg.tol)
-                fits[lam_id] = (A[:, blk], b[blk], P_new[:, blk], trace)
+                fits[lam_id] = (A[:, cols], b[cols], P_new[rows], trace)
             else:
                 keep.append(i)
         if not keep:
             break
         if len(keep) < k:
-            cols = np.concatenate([np.arange(i * l, (i + 1) * l) for i in keep])
-            P_new = P_new.T[cols].T  # the kept blocks, still Fortran-ordered
+            P_new = P_new.reshape(k, m, l)[keep].reshape(-1, l)
             live = [live[i] for i in keep]
         P = P_new
     return fits

@@ -265,6 +265,8 @@ MALFORMED_INPUTS = [
     ("ttest", "report", "[]\n", "JSON object"),
     ("ttest", "report", VALID_REPORT.replace('"per_fold_accuracy": [0.5, 0.7], ', ""),
      "'per_fold_accuracy'"),
+    pytest.param("ttest", "report", "[" * 100000, "nested too deeply",
+                 id="ttest-report-deeply-nested"),
 ]
 
 

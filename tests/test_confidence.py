@@ -372,8 +372,6 @@ def _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
     for a in (None, anchors):
         P = _update_rows(Q, _template(Y), lam, a)
         ref = oracles.update_rows_argsort(Q, Y, lam, a)
-        assert P.flags.c_contiguous == Q.flags.c_contiguous
-        assert P.flags.f_contiguous == Q.flags.f_contiguous
         yield Q, Y, lam, a, P, ref
 
 
@@ -381,7 +379,7 @@ def _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
 @given(st.integers(0, 2**31 - 1), st.integers(2, 11), st.booleans(), st.sampled_from("CF"))
 def test_kernel_matches_argsort_oracle_on_random_rows(seed, l, per_row_lam, order):
     """Sorting values in place of the argsort round trip changes no bit on
-    rows without exact ties, and P keeps the memory order of Q."""
+    rows without exact ties, in either memory order of Q."""
     rng = np.random.default_rng(seed)
     Q = rng.normal(0.0, 1.0, (int(rng.integers(1, 40)), l)) / 3.0
     for *_, P, ref in _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):

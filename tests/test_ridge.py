@@ -231,6 +231,27 @@ class TestFitKernel:
             A2, b2 = fit_kernel(K, P, beta=0.3)
             assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
 
+    def test_solve_ignores_memory_layout(self):
+        """C and Fortran copies of one P give the same bits; the values are
+        not dyadic, so a column sum taken in another order would round
+        differently."""
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((300, 3))
+        solver = KernelRidgeSolver(gram_matrix(X, X, sigma=1.3), beta=0.1)
+        P = rng.random((300, 5)) / 3.0
+        A_c, b_c = solver.solve(np.ascontiguousarray(P))
+        A_f, b_f = solver.solve(np.asfortranarray(P))
+        assert np.array_equal(A_c, A_f) and np.array_equal(b_c, b_f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidences_rejected(self, bad):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((12, 2))
+        P = rng.random((12, 3))
+        P[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_kernel(gram_matrix(X, X, sigma=1.0), P, beta=0.2)
+
 
 class TestModelOutputs:
     def make_model(self, rng, m=9, n=3, l=4):

@@ -40,7 +40,6 @@ class TestLockstep:
             assert np.abs(A - ref_model.A).max() <= 1e-9 * np.abs(ref_model.A).max()
             assert np.abs(b - ref_model.b).max() <= 1e-9
             assert np.abs(P - ref_P).max() <= 1e-9
-            assert A.flags.f_contiguous and P.flags.f_contiguous
 
 
 class TestTrain:
