@@ -131,8 +131,15 @@ class ExperimentReport:
     traces: tuple[TrainTrace, ...] | None = None
 
     def __post_init__(self):
-        accs = np.asarray(self.per_fold_accuracy)
-        if abs(self.mean - accs.mean()) > 1e-12:
+        if len(self.per_fold_accuracy) == 0:
+            raise ValueError("per_fold_accuracy must not be empty")
+        try:
+            values = np.array([*self.per_fold_accuracy, self.mean, self.std], dtype=np.float64)
+        except OverflowError:  # an integer too large for a float is not finite either
+            values = np.array([np.inf])
+        if not np.isfinite(values).all():
+            raise ValueError("per-fold accuracies, mean and std must be finite")
+        if abs(self.mean - values[:-2].mean()) > 1e-12:
             raise ValueError("mean inconsistent with per-fold accuracies")
         if self.std < 0:
             raise ValueError("std must be nonnegative")

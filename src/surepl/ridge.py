@@ -8,15 +8,19 @@ the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
 1-norm condition estimate guards against effectively singular systems.
 
 The kernel system matrix is constant across alternating-minimization
-iterations, so `KernelRidgeSolver` factors it once, re-solves for each new P
-and scores the training set.  The factor is checked once, when it is made;
-each solve copies P once into Fortran order and checks only that copy, so a
-fit depends on P's values and not on its memory layout.  Query rows are
-scored by `_scores`, in row blocks of the query Gram matrix of at most
-SCORE_BLOCK_BYTES each, so `model_outputs` never holds the whole query Gram
-matrix.  All of that runs in scipy's BLAS/LAPACK: numpy and scipy may each
-bundle their own threaded BLAS, and alternating between the two makes their
-worker threads compete for the same cores.
+iterations, so `KernelRidgeSolver` factors it once and re-solves for each new
+P.  It builds H K H + beta I in K's own row order and hands LAPACK the
+transpose, a Fortran view, to factor in place; for a symmetric K that view is
+the same matrix bit for bit.  The solver keeps no K: a fit's training-set
+scores are P - beta A (see `fit_kernel`).  The factor is checked once, when
+it is made; each solve copies P once into Fortran order and checks only that
+copy, so a fit depends on P's values and not on its memory layout.
+
+Query rows are scored by `_scores`, in row blocks of the query Gram matrix of
+at most SCORE_BLOCK_BYTES each, so `model_outputs` never holds the whole
+query Gram matrix.  All of that runs in scipy's BLAS/LAPACK: numpy and scipy
+may each bundle their own threaded BLAS, and alternating between the two
+makes their worker threads compete for the same cores.
 """
 
 from __future__ import annotations
@@ -151,9 +155,20 @@ def fit_linear(X, P, beta: float) -> LinearModel:
     return LinearModel(W, b)
 
 
+def _max_asymmetry(K: np.ndarray) -> float:
+    """max |K - K^T|, compared in 512 x 512 tile pairs so the transposed reads
+    stay within cache and no m x m temporary is made."""
+    m = K.shape[0]
+    asym = 0.0
+    for i in range(0, m, 512):
+        for j in range(i, m, 512):
+            d = K[i : i + 512, j : j + 512] - K[j : j + 512, i : i + 512].T
+            asym = max(asym, float(np.abs(d, out=d).max()))
+    return asym
+
+
 class KernelRidgeSolver:
-    """Factors the kernel ridge system once; solve() refits for any P and
-    outputs() scores the training set."""
+    """Factors the kernel ridge system once; solve() refits for any P."""
 
     def __init__(self, K, beta: float):
         K = np.asarray(K, dtype=np.float64)
@@ -161,22 +176,21 @@ class KernelRidgeSolver:
             raise ValueError("K must be square")
         if not beta > 0:
             raise ValueError("beta must be positive")
-        # the buffer later holds H K H + beta I; Fortran order lets LAPACK factor it in place
-        M = np.subtract(K, K.T, order="F")
-        asym = float(np.abs(M, out=M).max())
+        asym = _max_asymmetry(K)
         if asym > SYMMETRY_TOL:
             raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
         m = K.shape[0]
         self.m = m
-        self.K = K
+        self.beta = float(beta)
         self.ksum = K.sum(axis=0)  # K^T 1 == K 1 up to the symmetry tolerance
-        # H K H = K - 1 r^T - r 1^T + mean(K) 1 1^T with r = K 1 / m
+        # H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built in
+        # K's order; its transpose is a Fortran view that LAPACK factors in place
         r = self.ksum / m
-        np.subtract(K, r, out=M)
-        M -= r[:, None]
+        M = np.subtract(K, r[:, None])
+        M -= r
         M += r.mean()
         M.flat[:: m + 1] += beta
-        self._factor, self.rcond = _cholesky_with_cond(M, "kernel ridge")
+        self._factor, self.rcond = _cholesky_with_cond(M.T, "kernel ridge")
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) for the confidence matrix P; depends on P's values only.
@@ -184,6 +198,8 @@ class KernelRidgeSolver:
         P is copied once into Fortran order, the layout LAPACK solves in, so
         its column sums and the solve run alike for any input layout.  The
         factor was checked when it was made, so only P is checked here.
+        The training-set scores K A + 1 b^T of the result equal P - beta A
+        (see `fit_kernel`), so no solve needs K again.
         """
         R = np.array(P, dtype=np.float64, order="F")
         if R.ndim != 2 or R.shape[0] != self.m:
@@ -196,13 +212,6 @@ class KernelRidgeSolver:
         b = (psum - dgemv(1.0, A, self.ksum, trans=1)) / self.m
         return A, b
 
-    def outputs(self, A, b) -> np.ndarray:
-        """Training-set scores K @ A + b.
-
-        K.T is a Fortran-ordered view of K, so dgemm reads K without a copy.
-        """
-        return dgemm(1.0, self.K.T, A, trans_a=True) + b
-
 
 def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimizer of ||K A + 1 b^T - P||_F^2 + beta tr(A^T K A).
@@ -212,7 +221,9 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     For symmetric K this is the solution of the stationarity condition
     (H K + beta I) A = H P: multiplying it by 1^T gives beta 1^T A = 0, so
-    A = H A and H K A = H K H A.
+    A = H A and H K A = H K H A.  The fitted training-set scores are then
+    K A + 1 b^T = P - beta A: b gives them P's column means, and the
+    condition reads H (K A - P) = -beta A.
     """
     return KernelRidgeSolver(K, beta).solve(P)
 

@@ -2,12 +2,14 @@
 
 Each iteration refits the kernel ridge model against the current confidence
 matrix P, scores the training set, and re-solves every row's confidence
-program on those scores.  The loop stops once the Frobenius change of P drops
-to the tolerance or the iteration budget runs out.  One loop, `_alternate`,
-runs any number of lambdas in lockstep on one ridge factor; `train` is its
-single-lambda case and grid search its many-lambda one.  Each lambda's
-confidence matrix is a plain m x l row block of one stacked array; memory
-layout is left to the ridge solve, whose fit depends on values only.
+program on those scores.  The scores of a fit (A, b) to P are K A + 1 b^T =
+P - beta A (see `ridge.fit_kernel`), so the loop never reads K.  The loop
+stops once the Frobenius change of P drops to the tolerance or the iteration
+budget runs out.  One loop, `_alternate`, runs any number of lambdas in
+lockstep on one ridge factor; `train` is its single-lambda case and grid
+search its many-lambda one.  Each lambda's confidence matrix is a plain
+m x l row block of one stacked array; memory layout is left to the ridge
+solve, whose fit depends on values only.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     The confidence matrices of the lams still running are kept stacked by
     rows, one m x l block per lam, with one lam per row in the confidence
     update.  Each iteration makes one ridge solve on those blocks side by
-    side, one scoring call, and one confidence update.  A lam's block
-    freezes once its own change drops to the tolerance, so it runs the
-    iterations it would run alone.  Its A may differ from a solve of its own
+    side, scores them as P - beta A, and makes one confidence update.  A
+    lam's block freezes once its own change drops to the tolerance, so it
+    runs the iterations it would run alone.  Its A may differ from a solve of its own
     block by round-off (a multi-column triangular solve blocks its work
     differently); with one lam the loop is exactly the single fit.
     """
@@ -118,7 +120,7 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     for it in range(cfg.max_iter):
         k = len(live)
         A, b = solver.solve(np.hstack(P.reshape(k, m, l)))
-        Q = np.vstack(np.hsplit(solver.outputs(A, b), k))
+        Q = P - solver.beta * np.vstack(np.hsplit(A, k))
         P_new = _update_rows(Q, template[: k * m], np.repeat(lams[live], m))
         keep = []
         for i, lam_id in enumerate(live):
@@ -148,8 +150,8 @@ def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, Trai
     """
     X = d.features
     sigma = _bandwidth(X, cfg.sigma_override)
-    K = gram_matrix(X, X, sigma)
-    [(A, b, P, trace)] = _alternate(KernelRidgeSolver(K, cfg.beta), d, [cfg.lam], cfg)
+    solver = KernelRidgeSolver(gram_matrix(X, X, sigma), cfg.beta)  # K is freed here
+    [(A, b, P, trace)] = _alternate(solver, d, [cfg.lam], cfg)
     return KernelModel(X, A, b, sigma), P, trace
 
 

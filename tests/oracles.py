@@ -4,9 +4,9 @@ Everything here is deliberately simple and derives expected values through a
 different route than the library: exhaustive grids, bisection water-filling,
 a scalar active-set enumeration and projected gradient for the anchored
 projections, an argsort round trip for the batched projection, long-run
-gradient descent, LU solves of the unreduced ridge systems, a point-major
-grid search, quadrature, and full-sort neighbor search.  None of it calls
-into the code paths it checks.
+gradient descent, LU solves of the unreduced ridge systems, a ridge factor
+built in transposed order, a point-major grid search, quadrature, and
+full-sort neighbor search.  None of it calls into the code paths it checks.
 """
 
 import math
@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from surepl.confidence import InfeasibleSupportError
@@ -362,6 +363,31 @@ def solve_fit_kernel(K, P, beta):
     H = np.eye(m) - 1.0 / m
     A = np.linalg.solve(H @ K + beta * np.eye(m), H @ P)
     return A, (P - K @ A).mean(axis=0)
+
+
+def kernel_ridge_factor_fortran(K, beta):
+    """Upper Cholesky factor of H K H + beta I and its reciprocal 1-norm
+    condition estimate, built in a Fortran-ordered buffer that reads K in
+    transposed order: K minus r by columns, then minus r by rows, then plus
+    mean(r), with r = K^T 1 / m.
+
+    For an exactly symmetric K this is the same matrix as a build in K's own
+    order that subtracts r by rows first, so the factor matches it bit for
+    bit.  Returns (triu(factor), rcond).
+    """
+    m = K.shape[0]
+    r = K.sum(axis=0) / m
+    M = np.empty((m, m), order="F")
+    np.subtract(K, r, out=M)
+    M -= r[:, None]
+    M += r.mean()
+    M.flat[:: m + 1] += beta
+    lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
+    anorm = lange("1", M)
+    factor, _ = cho_factor(M, overwrite_a=True)
+    rcond, info = pocon(factor, anorm)
+    assert info == 0
+    return np.triu(factor), float(rcond)
 
 
 def gd_fit_linear(X, P, beta, max_steps=1_000_000):

@@ -234,6 +234,19 @@ def _with(valid, line, text):
     return "\n".join(lines) + "\n"
 
 
+# (PLD text, the line the error must name)
+MALFORMED_DATA = [
+    (_with(VALID_DATA, 4, "nan | 1,2 | 2"), 4),
+    (_with(VALID_DATA, 4, "inf | 1,2 | 2"), 4),
+    (_with(VALID_DATA, 3, "1e999 | 1 | 1"), 3),
+    (_with(VALID_DATA, 2, "2 1000000000000 2"), 3),
+    (_with(VALID_DATA, 2, "2 1 1000000000000"), 2),
+    ("pld 1\n2 1 1000000000000000000000000000000\n0.0 | 1 | 1\n"
+     "1.0 | 1,100000000000000000000000 | 1\n", 2),
+]
+# every command that reads a PLD file
+DATA_COMMANDS = ("train", "gen", "cv-plknn", "cv-sure", "grid")
+
 # (command, input file replaced, its text, the line the error must name, or
 # for a JSON report the text it must contain)
 MALFORMED_INPUTS = [
@@ -249,13 +262,7 @@ MALFORMED_INPUTS = [
     ("predict", "model", _with(VALID_MODEL, 5, "0.1 nan"), 5),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1000000000000 2 1.5"), 3),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 1000000000000 1.5"), 5),
-    ("train", "data", _with(VALID_DATA, 4, "nan | 1,2 | 2"), 4),
-    ("train", "data", _with(VALID_DATA, 4, "inf | 1,2 | 2"), 4),
-    ("train", "data", _with(VALID_DATA, 3, "1e999 | 1 | 1"), 3),
-    ("train", "data", _with(VALID_DATA, 2, "2 1000000000000 2"), 3),
-    ("train", "data", _with(VALID_DATA, 2, "2 1 1000000000000"), 2),
-    ("train", "data", "pld 1\n2 1 1000000000000000000000000000000\n0.0 | 1 | 1\n"
-     "1.0 | 1,100000000000000000000000 | 1\n", 2),
+    *[(command, "data", text, line) for command in DATA_COMMANDS for text, line in MALFORMED_DATA],
     ("eval", "pred", "1\nx3\n", 2),
     ("eval", "truth", "2.5\n1\n", 1),
     ("eval", "values", "1 20.0\n2 abc\n", 2),
@@ -265,6 +272,8 @@ MALFORMED_INPUTS = [
     ("ttest", "report", "[]\n", "JSON object"),
     ("ttest", "report", VALID_REPORT.replace('"per_fold_accuracy": [0.5, 0.7], ', ""),
      "'per_fold_accuracy'"),
+    ("ttest", "report", VALID_REPORT.replace('"mean": 0.6', '"mean": NaN'), "finite"),
+    ("ttest", "report", VALID_REPORT.replace("[0.5, 0.7]", "[]"), "must not be empty"),
     pytest.param("ttest", "report", "[" * 100000, "nested too deeply",
                  id="ttest-report-deeply-nested"),
 ]
@@ -279,17 +288,21 @@ class TestErrorPaths:
         files[target] = text
         for name, body in files.items():
             (tmp_path / name).write_text(body)
-        if command == "train":
-            argv = ["train", "--data", str(tmp_path / "data"),
-                    "--model-out", str(tmp_path / "out.model")]
-        elif command == "predict":
-            argv = ["predict", "--model", str(tmp_path / "model"),
-                    "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out.txt")]
-        elif command == "ttest":
-            argv = ["ttest", "--a", str(tmp_path / "report"), "--b", str(tmp_path / "report")]
-        else:
-            argv = ["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
-                    "--values", str(tmp_path / "values"), "--mae-k", "1"]
+        data, report = str(tmp_path / "data"), str(tmp_path / "report")
+        cv = ["cv", "--data", data, "--folds", "2", "--seed", "0",
+              "--report", str(tmp_path / "out.json"), "--algo"]
+        argv = {
+            "train": ["train", "--data", data, "--model-out", str(tmp_path / "out.model")],
+            "gen": ["gen", "--in", data, "--out", str(tmp_path / "out.pld"), "--p", "0.5"],
+            "cv-plknn": [*cv, "plknn"],
+            "cv-sure": [*cv, "sure"],
+            "grid": ["grid", "--data", data, "--inner-folds", "2", "--seed", "0"],
+            "predict": ["predict", "--model", str(tmp_path / "model"), "--data", data,
+                        "--out", str(tmp_path / "out.txt")],
+            "ttest": ["ttest", "--a", report, "--b", report],
+            "eval": ["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
+                     "--values", str(tmp_path / "values"), "--mae-k", "1"],
+        }[command]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""  # every input is read before anything is printed

@@ -285,6 +285,10 @@ class TestReportSerialization:
         (lambda p: {**p, "mean": True}, "'mean' must be a number"),
         (lambda p: {**p, "per_fold_accuracy": [0.5, "x"]}, "'per_fold_accuracy'"),
         (lambda p: {**p, "traces": [{"delta_p": [0.1]}]}, "'traces'"),
+        (lambda p: {**p, "std": float("nan")}, "finite"),
+        (lambda p: {**p, "per_fold_accuracy": [0.5, float("inf")]}, "finite"),
+        (lambda p: {**p, "mean": 10**400}, "finite"),
+        (lambda p: {**p, "per_fold_accuracy": [], "mean": 0.0}, "must not be empty"),
     ])
     def test_malformed_payload_names_key(self, edit, message):
         rep = ExperimentReport.from_folds("plknn", {"k": 5}, 2, 0, [0.5, 0.7])

@@ -60,6 +60,14 @@ class TestGramMatrix:
         assert off.max() <= 1.0
         assert (K > 0).all() and (K <= 1.0).all()
 
+    @pytest.mark.parametrize("m", [1, 2, 513, 1025])
+    def test_square_case_exactly_symmetric(self, m):
+        """The ridge factor reads one triangle of K, so the square Gram
+        matrix must equal its transpose bit for bit."""
+        X = np.random.default_rng(m).standard_normal((m, 10))
+        K = gram_matrix(X, X, sigma=3.0)
+        assert np.array_equal(K, K.T)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((12, 4))

@@ -163,6 +163,33 @@ class TestFitKernel:
         with pytest.raises(ValueError, match="asymmetric"):
             fit_kernel(K, np.ones((2, 2)), beta=0.1)
 
+    @pytest.mark.parametrize("row, col", [(599, 520), (520, 599), (599, 3), (3, 599)])
+    def test_asymmetry_in_last_partial_tile_rejected(self, row, col):
+        """600 rows leave a partial last tile; an entry there, in either
+        triangle, is still compared with its mirror."""
+        X = np.random.default_rng(23).standard_normal((600, 3))
+        K = gram_matrix(X, X, sigma=1.0)
+        K[row, col] += 1e-6
+        with pytest.raises(ValueError, match=r"asymmetric: max \|K - K\^T\| = 1\.000e-06"):
+            KernelRidgeSolver(K, 0.1)
+
+    @pytest.mark.parametrize("m", [1, 2, 513, 1025])
+    def test_factor_matches_transposed_order_build(self, m):
+        """Built in K's own order, the factor is bit-identical to the
+        transposed-order build for a symmetric K.
+
+        The condition estimate is compared to within a few ulps: LAPACK's
+        pocon gets the same factor and norm, but its last bit depends on
+        where its work arrays fall in memory, so two calls on one factor in
+        one process can differ by an ulp.
+        """
+        X = np.random.default_rng(m).standard_normal((m, 5))
+        K = gram_matrix(X, X, sigma=2.5)
+        solver = KernelRidgeSolver(K, 0.05)
+        U, rcond = oracles.kernel_ridge_factor_fortran(K, 0.05)
+        assert np.array_equal(np.triu(solver._factor[0]), U)
+        assert abs(solver.rcond - rcond) <= 4 * np.spacing(rcond)
+
     def test_singular_system_names_condition(self):
         beta = 0.25
         K = -beta * np.eye(2)  # makes K + beta I - 1 1^T K / m a rank-one matrix
@@ -196,18 +223,18 @@ class TestFitKernel:
             assert np.linalg.norm(b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
             assert np.abs(A.sum(axis=0)).max() <= 1e-10 * np.linalg.norm(A)
 
-    def test_outputs_equal_gram_product(self):
-        rng = np.random.default_rng(17)
-        for m in (1, 2, 7, 60):
-            X = rng.standard_normal((m, 3))
-            K = gram_matrix(X, X, sigma=1.1)
-            solver = KernelRidgeSolver(K, beta=0.2)
-            fitted = solver.solve(rng.random((m, 4)))
-            arbitrary = (rng.standard_normal((m, 4)), rng.standard_normal(4))
-            for A, b in (fitted, arbitrary):
-                ref = K @ A + b
-                scale = np.abs(K) @ np.abs(A) + np.abs(b)
-                assert np.all(np.abs(solver.outputs(A, b) - ref) <= 1e-12 * scale)
+    @pytest.mark.parametrize("beta", [0.01, 0.05, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 7, 60, 600])
+    def test_training_scores_are_p_minus_beta_a(self, m, beta):
+        """K A + 1 b^T = P - beta A for a fit to any P, so training never
+        needs K after the factor is built."""
+        rng = np.random.default_rng(17 + m)
+        X = rng.standard_normal((m, 3))
+        K = gram_matrix(X, X, sigma=1.1)
+        P = rng.random((m, 4))
+        A, b = KernelRidgeSolver(K, beta).solve(P)
+        scale = np.abs(K) @ np.abs(A) + np.abs(b)
+        assert np.all(np.abs(P - beta * A - (K @ A + b)) <= 1e-9 * scale)
 
     def test_factor_holds_one_extra_matrix(self):
         X = np.random.default_rng(12).standard_normal((600, 5))
