@@ -37,9 +37,12 @@ __all__ = ["main"]
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
+    return values
 
 
 def _train_config(args) -> TrainConfig:

@@ -17,9 +17,7 @@ from scipy.special import betainc
 
 from .baselines import plknn_predict
 from .data import FileFormatError, PLDataset, parse_floats, read_lines, split_folds, write_lines
-from .kernel import gram_matrix
-from .ridge import KernelRidgeSolver, _scores
-from .training import TrainConfig, TrainTrace, _alternate, _bandwidth, predict, train
+from .training import TrainConfig, TrainTrace, predict, train, train_grid
 
 __all__ = [
     "ExperimentReport",
@@ -95,6 +93,8 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
     function.  Degenerate samples with zero pooled variance give a tie when
     the means agree and a win/loss with p = 0 otherwise.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -161,9 +161,8 @@ def _fold_plan(d: PLDataset, folds: int, seed: int):
     if d.truth is None:
         raise ValueError("cross-validation requires ground truth for scoring")
     master = np.random.default_rng(seed)
-    split_seed = int(master.integers(2**63 - 1))
-    fold_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]
-    return split_folds(d, folds, split_seed), fold_seeds
+    parts = split_folds(d, folds, int(master.integers(2**63 - 1)))  # checks the fold count
+    return parts, [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]
 
 
 def _fit_and_predict(d_train: PLDataset, X_test, algo: str, params):
@@ -220,27 +219,19 @@ def grid_search(
     `seed`.  Ties prefer the smaller lam, then the smaller beta; every
     evaluation is logged in `entries`.
 
-    The search runs fold-major: per fold it takes the subset, the bandwidth
-    and the training and test Gram matrices once, factors the ridge system
-    once per beta, and trains every lam in lockstep on that factor.  Each
-    point gets the accuracies `cross_validate` would give it, up to the
-    round-off of the stacked ridge solve (see `training._alternate`).
+    The search runs fold-major: each fold trains the whole grid at once
+    with `train_grid` and scores every model with `predict`.  Each point
+    gets the accuracies `cross_validate` would give it, up to the round-off
+    of the lockstep ridge solve (see `training.train_grid`).
     """
     lams = sorted(set(float(v) for v in lam_grid))
     betas = sorted(set(float(v) for v in beta_grid))
-    if not lams or not betas:
-        raise ValueError("grids must be nonempty")
     parts, _ = _fold_plan(d_train, inner_folds, seed)
     accs = np.empty((len(lams), len(betas), len(parts)))
     for f, (tr, te) in enumerate(parts):
-        d = d_train.subset(tr)
-        sigma = _bandwidth(d.features, base.sigma_override)
-        K = gram_matrix(d.features, d.features, sigma)
-        G = gram_matrix(d_train.features[te], d.features, sigma)
-        for j, beta in enumerate(betas):
-            fits = _alternate(KernelRidgeSolver(K, beta), d, lams, base)
-            for i, (A, b, _, _) in enumerate(fits):
-                pred = np.argmax(_scores(G, A, b), axis=1)  # predict's scores
+        for j, fits in enumerate(train_grid(d_train.subset(tr), lams, betas, base)):
+            for i, (model, _, _) in enumerate(fits):
+                pred = predict(model, d_train.features[te])
                 accs[i, j, f] = accuracy(pred, d_train.truth[te])
     entries = []
     best = None

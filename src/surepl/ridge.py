@@ -16,11 +16,11 @@ scores are P - beta A (see `fit_kernel`).  The factor is checked once, when
 it is made; each solve copies P once into Fortran order and checks only that
 copy, so a fit depends on P's values and not on its memory layout.
 
-Query rows are scored by `_scores`, in row blocks of the query Gram matrix of
-at most SCORE_BLOCK_BYTES each, so `model_outputs` never holds the whole
-query Gram matrix.  All of that runs in scipy's BLAS/LAPACK: numpy and scipy
-may each bundle their own threaded BLAS, and alternating between the two
-makes their worker threads compete for the same cores.
+`model_outputs` is the one query scorer: it builds and scores the query Gram
+matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
+holds the whole of it.  All of that runs in scipy's BLAS/LAPACK: numpy and
+scipy may each bundle their own threaded BLAS, and alternating between the
+two makes their worker threads compete for the same cores.
 """
 
 from __future__ import annotations
@@ -241,30 +241,20 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _scores(G: np.ndarray, A, b) -> np.ndarray:
-    """G @ A + b for a C-ordered query Gram matrix G, one dgemm per row block.
-
-    Grid search scores its held-out Gram matrix here too, so its predictions
-    match `predict`'s bit for bit.  G[s].T is a Fortran-ordered view, so
-    dgemm reads each block without a copy.
-    """
-    out = np.empty((G.shape[0], A.shape[1]))
-    for s in _row_blocks(*G.shape):
-        out[s] = dgemm(1.0, G[s].T, A, trans_a=True)
-    out += b
-    return out
-
-
 def model_outputs(model: KernelModel, X_query) -> np.ndarray:
     """Score matrix for query rows: gram(X_query, train_X) @ A + b.
 
-    The query Gram matrix is built and scored one row block at a time.
+    The query Gram matrix is built and scored one row block at a time, one
+    dgemm each.  A block's transpose is a Fortran-ordered view, so dgemm
+    reads it without a copy; the block is never named, so it is freed before
+    the next one is built.
     """
     X = model.train_X
     X_query = check_query(X_query, X.shape[1])
     out = np.empty((X_query.shape[0], model.A.shape[1]))
     for s in _row_blocks(X_query.shape[0], X.shape[0]):
-        out[s] = _scores(gram_matrix(X_query[s], X, model.sigma), model.A, model.b)
+        out[s] = dgemm(1.0, gram_matrix(X_query[s], X, model.sigma).T, model.A, trans_a=True)
+    out += model.b
     return out
 
 

@@ -5,16 +5,19 @@ matrix P, scores the training set, and re-solves every row's confidence
 program on those scores.  The scores of a fit (A, b) to P are K A + 1 b^T =
 P - beta A (see `ridge.fit_kernel`), so the loop never reads K.  The loop
 stops once the Frobenius change of P drops to the tolerance or the iteration
-budget runs out.  One loop, `_alternate`, runs any number of lambdas in
-lockstep on one ridge factor; `train` is its single-lambda case and grid
-search its many-lambda one.  Each lambda's confidence matrix is a plain
-m x l row block of one stacked array; memory layout is left to the ridge
-solve, whose fit depends on values only.
+budget runs out.
+
+`train_grid` is the one place that sets training up: it takes the bandwidth
+and the Gram matrix K once, factors the ridge system once per beta, and runs
+every lambda of that beta in lockstep through `_alternate`.  `train` is its
+single-point case and grid search calls it once per fold.  Each lambda's
+confidence matrix is a plain m x l row block of one stacked array; memory
+layout is left to the ridge solve, whose fit depends on values only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dnrm2
@@ -53,10 +56,10 @@ class TrainConfig:
     sigma_override: float | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
@@ -78,19 +81,6 @@ class TrainTrace:
     def __post_init__(self):
         if len(self.delta_p) != self.iterations_run:
             raise ValueError("trace length must equal iterations_run")
-
-
-def _bandwidth(X: np.ndarray, sigma_override: float | None) -> float:
-    """The override, else the exact mean pairwise distance.
-
-    A single instance has no pairwise distances, so its bandwidth falls back
-    to 1.0 (the 1x1 Gram matrix is [[1]] for any bandwidth).
-    """
-    if sigma_override is not None:
-        return float(sigma_override)
-    if X.shape[0] == 1:
-        return 1.0
-    return mean_pairwise_distance(X)
 
 
 def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) -> list:
@@ -143,16 +133,37 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     return fits
 
 
+def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]]:
+    """Train every (lam, beta) on d; returns (model, final confidence matrix,
+    trace) for each, indexed [beta][lam] in the order given.
+
+    base supplies every setting but lam and beta.  Every point is checked as
+    a TrainConfig before any work is done.  The bandwidth and K are taken
+    once, the ridge system is factored once per beta, and that beta's lambdas
+    run in lockstep on its factor (see `_alternate`).  Deterministic given
+    the dataset and the arguments.
+    """
+    if not [replace(base, lam=lam, beta=beta) for beta in betas for lam in lams]:
+        raise ValueError("grids must be nonempty")
+    X = d.features
+    if base.sigma_override is not None:
+        sigma = float(base.sigma_override)
+    else:  # one instance has no pairwise distances; its 1x1 Gram matrix is [[1]] for any sigma
+        sigma = 1.0 if d.m == 1 else mean_pairwise_distance(X)
+    K = gram_matrix(X, X, sigma)
+    # the solver is never named, so at most K and one beta's factor are held at once
+    return [[(KernelModel(X, A, b, sigma), P, trace)
+             for A, b, P, trace in _alternate(KernelRidgeSolver(K, beta), d, lams, base)]
+            for beta in betas]
+
+
 def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, TrainTrace]:
     """Run the alternating loop; returns (model, final confidence matrix, trace).
 
     Deterministic given the dataset and cfg.
     """
-    X = d.features
-    sigma = _bandwidth(X, cfg.sigma_override)
-    solver = KernelRidgeSolver(gram_matrix(X, X, sigma), cfg.beta)  # K is freed here
-    [(A, b, P, trace)] = _alternate(solver, d, [cfg.lam], cfg)
-    return KernelModel(X, A, b, sigma), P, trace
+    [[fit]] = train_grid(d, [cfg.lam], [cfg.beta], cfg)
+    return fit
 
 
 def predict(model: KernelModel, X_query) -> np.ndarray:

@@ -278,8 +278,48 @@ MALFORMED_INPUTS = [
                  id="ttest-report-deeply-nested"),
 ]
 
+# (subcommand and its malformed flags, a fragment its one error line must hold)
+MALFORMED_FLAGS = [
+    (["cv", "--folds", "-1"], "fold count must be at least 2"),
+    (["cv", "--folds", "2", "--inner-folds", "-1", "--lambda-grid", "0.3"],
+     "fold count must be at least 2"),
+    (["grid", "--inner-folds", "-1"], "fold count must be at least 2"),
+    (["train", "--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
+    (["train", "--lambda", "inf"], "lam must be finite and nonnegative, got inf"),
+    (["train", "--beta", "inf"], "beta must be finite and positive, got inf"),
+    (["grid", "--inner-folds", "2", "--lambda-grid=-5,0.3"],
+     "lam must be finite and nonnegative, got -5.0"),
+    (["grid", "--inner-folds", "2", "--beta-grid=0,0.1"], "beta must be finite and positive, got 0.0"),
+    (["cv", "--folds", "2", "--lambda-grid", ""], "argument --lambda-grid"),
+    (["cv", "--folds", "2", "--beta-grid", ","], "argument --beta-grid"),
+    (["ttest", "--alpha", "2"], "alpha must lie strictly between 0 and 1, got 2.0"),
+    (["ttest", "--alpha", "0"], "alpha must lie strictly between 0 and 1, got 0.0"),
+]
+
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("flags, message", MALFORMED_FLAGS)
+    def test_malformed_flag_exits_2(self, tmp_path, pl_file, capsys, flags, message):
+        report = tmp_path / "report.json"
+        report.write_text(VALID_REPORT)
+        command, *rest = flags
+        argv = {
+            "train": ["train", "--data", str(pl_file), "--model-out", str(tmp_path / "m.model")],
+            "cv": ["cv", "--data", str(pl_file), "--seed", "0",
+                   "--report", str(tmp_path / "out.json")],
+            "grid": ["grid", "--data", str(pl_file), "--seed", "0"],
+            "ttest": ["ttest", "--a", str(report), "--b", str(report)],
+        }[command]
+        try:
+            code = main(argv + rest)
+        except SystemExit as exc:  # argparse rejects a flag value it cannot convert
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        *usage, last = err.splitlines()
+        assert all(line.startswith(("usage:", " ")) for line in usage)
+        assert "error:" in last and message in last
+
     @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
     def test_malformed_input_names_line(self, tmp_path, capsys, command, target, text, line):
         files = {"model": "\n".join(VALID_MODEL) + "\n", "data": "\n".join(VALID_DATA) + "\n",

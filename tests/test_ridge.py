@@ -343,7 +343,7 @@ class TestModelOutputs:
 
     def test_blocks_score_like_separate_queries(self, monkeypatch):
         """A multi-block query scores each block as that block alone would,
-        and grid search's whole-Gram scoring agrees bit for bit."""
+        and `predict`, the scorer grid search uses too, takes its argmax."""
         rng = np.random.default_rng(16)
         model = self.make_model(rng, m=300, l=5)
         queries = rng.standard_normal((1000, 3))
@@ -355,7 +355,7 @@ class TestModelOutputs:
         assert np.array_equal(whole.argmax(axis=1), alone.argmax(axis=1))
         assert np.array_equal(whole, alone)
         G = gram_matrix(queries, model.train_X, model.sigma)
-        assert np.array_equal(ridge._scores(G, model.A, model.b), whole)
+        assert np.array_equal(predict(model, queries), whole.argmax(axis=1))
         assert np.abs(whole - (G @ model.A + model.b)).max() <= 1e-12
 
 

@@ -8,8 +8,7 @@ from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
 from surepl.ridge import KernelModel, fit_kernel, model_outputs
 from surepl.confidence import update_confidence_matrix
-from surepl.ridge import KernelRidgeSolver
-from surepl.training import TrainConfig, TrainTrace, _alternate, predict, train
+from surepl.training import TrainConfig, TrainTrace, predict, train, train_grid
 
 
 def supervised_blobs(m=60, classes=3, seed=0):
@@ -26,11 +25,10 @@ class TestLockstep:
         d = corrupt(clean, SyntheticSpec(p=0.8, r=2, mode="random", seed=4))
         lams = [0.0, 0.05, 0.3, 1.0, 5.0]
         cfg = TrainConfig(beta=0.05, init=init, max_iter=max_iter, tol=1e-3)
-        model, _, _ = train(d, cfg)
-        K = gram_matrix(d.features, d.features, model.sigma)
-        fits = _alternate(KernelRidgeSolver(K, cfg.beta), d, lams, cfg)
-        assert len({f[3].iterations_run for f in fits}) > 1 or max_iter == 4
-        for lam, (A, b, P, trace) in zip(lams, fits):
+        [fits] = train_grid(d, lams, [cfg.beta], cfg)
+        assert len({f[2].iterations_run for f in fits}) > 1 or max_iter == 4
+        for lam, (model, P, trace) in zip(lams, fits):
+            A, b = model.A, model.b
             ref_model, ref_P, ref_trace = train(d, TrainConfig(lam=lam, beta=0.05, init=init,
                                                                max_iter=max_iter, tol=1e-3))
             # the same iterations; the stacked solve moves the fit by round-off
