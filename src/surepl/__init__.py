@@ -42,7 +42,6 @@ from .harness import (
 from .kernel import gram_matrix, mean_pairwise_distance
 from .ridge import (
     KernelModel,
-    LinearModel,
     SingularSystemError,
     fit_kernel,
     fit_linear,
@@ -62,7 +61,6 @@ __all__ = [
     "InfeasibleSupportError",
     "KernelModel",
     "KnnConfig",
-    "LinearModel",
     "PLDataset",
     "QPResult",
     "SingularSystemError",

@@ -215,6 +215,8 @@ class SyntheticSpec:
             raise ValueError("r must be a positive integer")
         if self.mode not in ("random", "coupled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def corrupt(clean: PLDataset, spec: SyntheticSpec) -> PLDataset:

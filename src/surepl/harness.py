@@ -58,6 +58,8 @@ def mae_at_k(pred, truth, values: dict[int, float] | None = None, k: float = 0.0
     default is the identity mapping.  With k = 0 and injective values this
     reduces to plain accuracy.
     """
+    if not 0 <= k < np.inf:
+        raise ValueError(f"k must be finite and nonnegative, got {k}")
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
@@ -160,6 +162,8 @@ def _fold_plan(d: PLDataset, folds: int, seed: int):
     """
     if d.truth is None:
         raise ValueError("cross-validation requires ground truth for scoring")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     master = np.random.default_rng(seed)
     parts = split_folds(d, folds, int(master.integers(2**63 - 1)))  # checks the fold count
     return parts, [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]

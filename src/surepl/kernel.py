@@ -8,6 +8,12 @@ from scipy.spatial.distance import cdist, pdist
 __all__ = ["mean_pairwise_distance", "gram_matrix"]
 
 
+def usable_sigma(sigma) -> bool:
+    """Whether sigma is a Gaussian bandwidth: positive and finite, with 2 sigma^2
+    > 0, so the kernel's exponent divides by a nonzero number."""
+    return 0 < sigma < np.inf and 2.0 * sigma * sigma > 0
+
+
 def mean_pairwise_distance(X) -> float:
     """Mean Euclidean distance over all distinct unordered instance pairs.
 
@@ -29,15 +35,17 @@ def gram_matrix(X_rows, X_cols, sigma: float) -> np.ndarray:
     Squared distances come from exact coordinate differences, so the square
     case has a unit diagonal exactly and is symmetric to machine precision.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not usable_sigma(sigma):
+        raise ValueError(f"sigma must be finite and positive with 2 sigma^2 > 0, got {sigma}")
     X_rows = np.asarray(X_rows, dtype=np.float64)
     X_cols = np.asarray(X_cols, dtype=np.float64)
     if X_rows.ndim != 2 or X_cols.ndim != 2 or X_rows.shape[1] != X_cols.shape[1]:
         raise ValueError(
             f"dimension mismatch: {X_rows.shape} rows vs {X_cols.shape} columns"
         )
-    # scaled and exponentiated in place, so K is the only m x n array held
+    # scaled and exponentiated in place, so K is the only m x n array held;
+    # a quotient that overflows to -inf is an entry that exp makes exactly 0
     sq = cdist(X_rows, X_cols, "sqeuclidean")
-    sq /= -(2.0 * sigma * sigma)
+    with np.errstate(over="ignore"):
+        sq /= -(2.0 * sigma * sigma)
     return np.exp(sq, out=sq)

@@ -7,14 +7,15 @@ the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
 (H K H + beta I) A = H P.  Both are solved through a Cholesky factor, and a
 1-norm condition estimate guards against effectively singular systems.
 
-The kernel system matrix is constant across alternating-minimization
-iterations, so `KernelRidgeSolver` factors it once and re-solves for each new
-P.  It builds H K H + beta I in K's own row order and hands LAPACK the
-transpose, a Fortran view, to factor in place; for a symmetric K that view is
-the same matrix bit for bit.  The solver keeps no K: a fit's training-set
-scores are P - beta A (see `fit_kernel`).  The factor is checked once, when
-it is made; each solve copies P once into Fortran order and checks only that
-copy, so a fit depends on P's values and not on its memory layout.
+`fit_linear` and `fit_kernel` check outside input once, at entry.  Training
+factors the kernel system, constant across its iterations, once in a
+`KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
+K, beta and P training gives it and checks none of them.  It builds
+H K H + beta I in K's own row order and hands LAPACK the transpose, a
+Fortran view, to factor in place; for a symmetric K that view is the same
+matrix bit for bit.  The solver keeps no K: a fit's training-set scores are
+P - beta A (see `fit_kernel`).  Each solve copies P once into Fortran order,
+so a fit depends on P's values and not on its memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
 matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
@@ -33,13 +34,11 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dgemm, dgemv
 
 from .data import FileFormatError, check_query, format_float, parse_floats, read_lines, write_lines
-from .kernel import gram_matrix
+from .kernel import gram_matrix, usable_sigma
 
 __all__ = [
-    "LinearModel",
     "KernelModel",
     "SingularSystemError",
-    "KernelRidgeSolver",
     "fit_linear",
     "fit_kernel",
     "model_outputs",
@@ -56,26 +55,6 @@ SCORE_BLOCK_BYTES = 16 * 2**20
 
 class SingularSystemError(np.linalg.LinAlgError):
     """The ridge system matrix is singular to working precision."""
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Linear scorer x -> W^T x + b with W (n, l) and b (l,)."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if W.ndim != 2 or b.shape != (W.shape[1],):
-            raise ValueError("W must be (n, l) and b (l,)")
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise ValueError("model parameters must be finite")
-        for arr in (W, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -101,8 +80,10 @@ class KernelModel:
             raise ValueError("b must have one entry per label")
         if not (np.isfinite(X).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("model parameters must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not usable_sigma(self.sigma):
+            raise ValueError(
+                f"sigma must be finite and positive with 2 sigma^2 > 0, got {self.sigma}"
+            )
         for arr in (X, A, b):
             arr.setflags(write=False)
         object.__setattr__(self, "train_X", X)
@@ -132,7 +113,7 @@ def _cholesky_with_cond(M: np.ndarray, what: str):
     return factor, float(rcond)
 
 
-def fit_linear(X, P, beta: float) -> LinearModel:
+def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimizer of ||X W + 1 b^T - P||_F^2 + beta ||W||_F^2.
 
     W = (X^T H X + beta I)^(-1) X^T H P with H = I - 1 1^T / m,
@@ -152,7 +133,7 @@ def fit_linear(X, P, beta: float) -> LinearModel:
     factor, _ = _cholesky_with_cond(M, "linear ridge")
     W = cho_solve(factor, rhs)
     b = (psum - W.T @ xsum) / m
-    return LinearModel(W, b)
+    return W, b
 
 
 def _max_asymmetry(K: np.ndarray) -> float:
@@ -168,21 +149,17 @@ def _max_asymmetry(K: np.ndarray) -> float:
 
 
 class KernelRidgeSolver:
-    """Factors the kernel ridge system once; solve() refits for any P."""
+    """Factors the kernel ridge system once; solve() refits for any P.
 
-    def __init__(self, K, beta: float):
-        K = np.asarray(K, dtype=np.float64)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("K must be square")
-        if not beta > 0:
-            raise ValueError("beta must be positive")
-        asym = _max_asymmetry(K)
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
+    Checks nothing: its caller gives a symmetric float64 K, beta > 0 and
+    finite P's of m rows, as training does.  `fit_kernel` checks outside input.
+    """
+
+    def __init__(self, K: np.ndarray, beta: float):
         m = K.shape[0]
         self.m = m
         self.beta = float(beta)
-        self.ksum = K.sum(axis=0)  # K^T 1 == K 1 up to the symmetry tolerance
+        self.ksum = K.sum(axis=0)  # K^T 1 == K 1 for a symmetric K
         # H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built in
         # K's order; its transpose is a Fortran view that LAPACK factors in place
         r = self.ksum / m
@@ -197,15 +174,10 @@ class KernelRidgeSolver:
 
         P is copied once into Fortran order, the layout LAPACK solves in, so
         its column sums and the solve run alike for any input layout.  The
-        factor was checked when it was made, so only P is checked here.
-        The training-set scores K A + 1 b^T of the result equal P - beta A
-        (see `fit_kernel`), so no solve needs K again.
+        training-set scores K A + 1 b^T of the result equal P - beta A (see
+        `fit_kernel`), so no solve needs K again.
         """
         R = np.array(P, dtype=np.float64, order="F")
-        if R.ndim != 2 or R.shape[0] != self.m:
-            raise ValueError("P must have one row per training instance")
-        if not np.isfinite(R).all():
-            raise ValueError("P must be finite")
         psum = R.sum(axis=0)
         R -= psum / self.m
         A = cho_solve(self._factor, R, overwrite_b=True, check_finite=False)
@@ -224,7 +196,23 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     A = H A and H K A = H K H A.  The fitted training-set scores are then
     K A + 1 b^T = P - beta A: b gives them P's column means, and the
     condition reads H (K A - P) = -beta A.
+
+    Checks K (square, symmetric to SYMMETRY_TOL), beta > 0 and P (finite,
+    one row per row of K) once, then fits through `KernelRidgeSolver`.
     """
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("K must be square")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    asym = _max_asymmetry(K)
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != K.shape[0]:
+        raise ValueError("P must have one row per training instance")
+    if not np.isfinite(P).all():
+        raise ValueError("P must be finite")
     return KernelRidgeSolver(K, beta).solve(P)
 
 
@@ -280,10 +268,10 @@ def load_model(path) -> KernelModel:
         raise FileFormatError(
             f"malformed model header ({exc}): expected '<m> <n> <l> <sigma>'", 2
         ) from None
-    if min(m, n, l) < 1 or not (np.isfinite(sigma) and sigma > 0):
+    if min(m, n, l) < 1 or not usable_sigma(sigma):
         raise FileFormatError(
-            f"malformed model header: sizes must be >= 1 and sigma finite and positive, "
-            f"got {lines[1]!r}", 2
+            f"malformed model header: sizes must be >= 1 and sigma finite and positive "
+            f"with 2 sigma^2 > 0, got {lines[1]!r}", 2
         )
     if len(lines) != 2 * m + 3:
         raise FileFormatError(

@@ -24,7 +24,7 @@ from scipy.linalg.blas import dnrm2
 
 from .confidence import _template, _update_rows
 from .data import PLDataset
-from .kernel import gram_matrix, mean_pairwise_distance
+from .kernel import gram_matrix, mean_pairwise_distance, usable_sigma
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
@@ -66,8 +66,9 @@ class TrainConfig:
             raise ValueError("tol must be positive")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
-        if self.sigma_override is not None and not self.sigma_override > 0:
-            raise ValueError("sigma_override must be positive")
+        if self.sigma_override is not None and not usable_sigma(self.sigma_override):
+            raise ValueError("sigma_override must be finite and positive with 2 sigma^2 > 0, "
+                             f"got {self.sigma_override}")
 
 
 @dataclass(frozen=True)

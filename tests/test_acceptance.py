@@ -187,8 +187,8 @@ def test_criterion_4_ridge_stationarity():
         beta = float(rng.uniform(0.01, 2.0))
         scale = 1e-8 * (1.0 + np.linalg.norm(P))
 
-        lin = fit_linear(X, P, beta)
-        gW, gb = oracles.linear_gradient(X, P, beta, lin.W, lin.b)
+        W, b = fit_linear(X, P, beta)
+        gW, gb = oracles.linear_gradient(X, P, beta, W, b)
         lin_norm = math.sqrt((gW**2).sum() + (gb**2).sum())
 
         K = gram_matrix(X, X, sigma=float(rng.uniform(0.5, 3.0)))

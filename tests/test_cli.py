@@ -60,6 +60,14 @@ class TestGen:
 
 
 class TestTrainPredictEval:
+    def test_tiny_sigma_trains_silently(self, tmp_path, pl_file, capsys):
+        """2 sigma^2 = 2e-320 is subnormal but nonzero: K is the identity."""
+        model_path = tmp_path / "m.model"
+        assert main(["train", "--data", str(pl_file), "--sigma", "1e-160",
+                     "--model-out", str(model_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert load_model(model_path).sigma == 1e-160
+
     def test_full_pipeline(self, tmp_path, pl_file):
         model_path = tmp_path / "m.model"
         trace_path = tmp_path / "trace.csv"
@@ -259,6 +267,7 @@ MALFORMED_INPUTS = [
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 nan"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 inf"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 -1.0"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 1e-300"), 2),
     ("predict", "model", _with(VALID_MODEL, 5, "0.1 nan"), 5),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1000000000000 2 1.5"), 3),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 1000000000000 1.5"), 5),
@@ -294,14 +303,27 @@ MALFORMED_FLAGS = [
     (["cv", "--folds", "2", "--beta-grid", ","], "argument --beta-grid"),
     (["ttest", "--alpha", "2"], "alpha must lie strictly between 0 and 1, got 2.0"),
     (["ttest", "--alpha", "0"], "alpha must lie strictly between 0 and 1, got 0.0"),
+    (["train", "--sigma", "inf"],
+     "sigma_override must be finite and positive with 2 sigma^2 > 0, got inf"),
+    (["train", "--sigma", "1e-300"], "with 2 sigma^2 > 0, got 1e-300"),
+    (["eval", "--mae-k", "nan"], "k must be finite and nonnegative, got nan"),
+    (["eval", "--mae-k", "-1"], "k must be finite and nonnegative, got -1.0"),
+    (["gen", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["cv", "--folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["grid", "--inner-folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["predict", "--out", "."], "Is a directory"),
 ]
 
 
 class TestErrorPaths:
     @pytest.mark.parametrize("flags, message", MALFORMED_FLAGS)
-    def test_malformed_flag_exits_2(self, tmp_path, pl_file, capsys, flags, message):
+    def test_malformed_flag_exits_2(self, tmp_path, clean_file, pl_file, capsys, flags, message):
         report = tmp_path / "report.json"
         report.write_text(VALID_REPORT)
+        model, data, labels = tmp_path / "m.model", tmp_path / "d.pld", tmp_path / "labels.txt"
+        model.write_text("\n".join(VALID_MODEL) + "\n")
+        data.write_text("\n".join(VALID_DATA) + "\n")
+        labels.write_text("1\n2\n")
         command, *rest = flags
         argv = {
             "train": ["train", "--data", str(pl_file), "--model-out", str(tmp_path / "m.model")],
@@ -309,6 +331,10 @@ class TestErrorPaths:
                    "--report", str(tmp_path / "out.json")],
             "grid": ["grid", "--data", str(pl_file), "--seed", "0"],
             "ttest": ["ttest", "--a", str(report), "--b", str(report)],
+            "gen": ["gen", "--in", str(clean_file), "--out", str(tmp_path / "g.pld"), "--p", "0.5"],
+            "predict": ["predict", "--model", str(model), "--data", str(data),
+                        "--out", str(tmp_path / "pred.txt")],
+            "eval": ["eval", "--pred", str(labels), "--truth", str(labels)],
         }[command]
         try:
             code = main(argv + rest)

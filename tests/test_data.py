@@ -165,6 +165,10 @@ class TestPldFormat:
 
 
 class TestCorrupt:
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            SyntheticSpec(p=0.5, seed=-1)
+
     def test_p_zero_is_identity(self):
         d = singleton_dataset(50, 5, seed=3)
         out = corrupt(d, SyntheticSpec(p=0.0, r=2, seed=9))

@@ -63,6 +63,11 @@ class TestMaeAtK:
         with pytest.raises(ValueError, match="no value mapping"):
             mae_at_k([0, 1], [0, 2], {0: 1.0, 1: 2.0}, 1.0)
 
+    @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf])
+    def test_k_must_be_finite_and_nonnegative(self, k):
+        with pytest.raises(ValueError, match=f"k must be finite and nonnegative, got {k}"):
+            mae_at_k([0, 1], [0, 1], None, k)
+
 
 class TestTTest:
     def test_identical_nonconstant_tie(self):

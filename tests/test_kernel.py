@@ -99,3 +99,15 @@ class TestGramMatrix:
     def test_sigma_validation(self):
         with pytest.raises(ValueError, match="sigma"):
             gram_matrix(np.ones((2, 2)), np.ones((2, 2)), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.inf, np.nan, 1e-300])
+    def test_unusable_sigma_named(self, sigma):
+        """1e-300 is positive, but 2 sigma^2 underflows to 0."""
+        with pytest.raises(ValueError, match=f"2 sigma\\^2 > 0, got {sigma}"):
+            gram_matrix(np.ones((2, 2)), np.ones((2, 2)), sigma=sigma)
+
+    def test_overflowing_exponent_is_an_exact_zero(self):
+        """With 2 sigma^2 subnormal, every off-diagonal quotient overflows to
+        -inf, silently, and exp makes it 0."""
+        X = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(gram_matrix(X, X, sigma=1e-160), np.eye(3))

@@ -32,24 +32,24 @@ class TestFitLinear:
     def test_m_equals_one_bias_only(self):
         X = np.array([[2.0, -1.0, 0.5]])
         P = np.array([[0.2, 0.8]])
-        model = fit_linear(X, P, beta=0.4)
-        assert np.abs(model.W).max() <= 1e-12
-        assert np.allclose(model.b, P[0], atol=1e-12)
+        W, b = fit_linear(X, P, beta=0.4)
+        assert np.abs(W).max() <= 1e-12
+        assert np.allclose(b, P[0], atol=1e-12)
 
     def test_huge_beta_collapses_to_column_means(self):
         rng = np.random.default_rng(0)
         X, P = random_problem(rng, 25, 3, 4)
-        model = fit_linear(X, P, beta=1e12)
-        assert np.abs(model.W).max() <= 1e-9
-        assert np.allclose(model.b, P.mean(axis=0), atol=1e-9)
+        W, b = fit_linear(X, P, beta=1e12)
+        assert np.abs(W).max() <= 1e-9
+        assert np.allclose(b, P.mean(axis=0), atol=1e-9)
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(7)
         X, P = random_problem(rng, 20, 3, 4)
         beta = 0.1
-        model = fit_linear(X, P, beta)
+        W, b = fit_linear(X, P, beta)
         W_gd, b_gd = oracles.gd_fit_linear(X, P, beta)
-        obj_cf = oracles.linear_objective(X, P, beta, model.W, model.b)
+        obj_cf = oracles.linear_objective(X, P, beta, W, b)
         obj_gd = oracles.linear_objective(X, P, beta, W_gd, b_gd)
         assert obj_cf == pytest.approx(obj_gd, rel=1e-6)
         assert obj_cf <= obj_gd + 1e-9
@@ -60,8 +60,8 @@ class TestFitLinear:
             m = int(rng.integers(2, 30))
             X, P = random_problem(rng, m, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
             beta = float(rng.uniform(0.01, 2.0))
-            model = fit_linear(X, P, beta)
-            gW, gb = oracles.linear_gradient(X, P, beta, model.W, model.b)
+            W, b = fit_linear(X, P, beta)
+            gW, gb = oracles.linear_gradient(X, P, beta, W, b)
             gnorm = np.sqrt((gW**2).sum() + (gb**2).sum())
             assert gnorm <= 1e-8 * (1.0 + np.linalg.norm(P))
 
@@ -69,10 +69,10 @@ class TestFitLinear:
         rng = np.random.default_rng(2)
         X, P = random_problem(rng, 15, 4, 3)
         shift = np.array([0.5, -2.0, 1.25])
-        base = fit_linear(X, P, beta=0.3)
-        moved = fit_linear(X, P + shift, beta=0.3)
-        assert np.allclose(moved.W, base.W, atol=1e-10)
-        assert np.allclose(moved.b, base.b + shift, atol=1e-10)
+        W0, b0 = fit_linear(X, P, beta=0.3)
+        W1, b1 = fit_linear(X, P + shift, beta=0.3)
+        assert np.allclose(W1, W0, atol=1e-10)
+        assert np.allclose(b1, b0 + shift, atol=1e-10)
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -84,10 +84,10 @@ class TestFitLinear:
             m = int(rng.integers(2, 60))
             X, P = random_problem(rng, m, int(rng.integers(1, 8)), int(rng.integers(2, 6)))
             beta = float(10 ** rng.uniform(-2, 1))
-            model = fit_linear(X, P, beta)
+            W, b = fit_linear(X, P, beta)
             W_ref, b_ref = oracles.solve_fit_linear(X, P, beta)
-            assert np.linalg.norm(model.W - W_ref) <= 1e-9 * np.linalg.norm(W_ref)
-            assert np.linalg.norm(model.b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
+            assert np.linalg.norm(W - W_ref) <= 1e-9 * np.linalg.norm(W_ref)
+            assert np.linalg.norm(b - b_ref) <= 1e-9 * np.linalg.norm(b_ref)
 
 
 class TestFitKernel:
@@ -152,9 +152,9 @@ class TestFitKernel:
         P = rng.random((18, 4))
         P /= P.sum(axis=1, keepdims=True)
         beta = 0.5
-        lin = fit_linear(X, P, beta)
+        W, b_lin = fit_linear(X, P, beta)
         A, b = fit_kernel(X @ X.T, P, beta)
-        out_lin = X @ lin.W + lin.b
+        out_lin = X @ W + b_lin
         out_ker = (X @ X.T) @ A + b
         assert np.abs(out_lin - out_ker).max() <= 1e-8
 
@@ -162,6 +162,32 @@ class TestFitKernel:
         K = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="asymmetric"):
             fit_kernel(K, np.ones((2, 2)), beta=0.1)
+
+    @pytest.mark.parametrize("K, P, beta, message", [
+        (np.ones((2, 3)), np.ones((2, 2)), 0.1, "K must be square"),
+        (np.ones(4), np.ones((4, 2)), 0.1, "K must be square"),
+        (np.eye(2), np.ones((2, 2)), 0.0, "beta must be positive"),
+        (np.eye(2), np.ones((2, 2)), -1.0, "beta must be positive"),
+        (np.eye(2), np.ones((2, 2)), np.nan, "beta must be positive"),
+        (np.eye(2), np.ones((3, 2)), 0.1, "P must have one row per training instance"),
+        (np.eye(2), np.ones(2), 0.1, "P must have one row per training instance"),
+    ])
+    def test_malformed_input_rejected(self, K, P, beta, message):
+        with pytest.raises(ValueError, match=message):
+            fit_kernel(K, P, beta)
+
+    def test_fit_holds_one_extra_matrix(self):
+        """The checks at fit_kernel's entry add no m x m temporary to the factor's."""
+        X = np.random.default_rng(24).standard_normal((600, 5))
+        K = gram_matrix(X, X, sigma=2.0)
+        P = np.full((600, 3), 1.0 / 3.0)
+        tracemalloc.start()
+        try:
+            fit_kernel(K, P, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * K.nbytes
 
     @pytest.mark.parametrize("row, col", [(599, 520), (520, 599), (599, 3), (3, 599)])
     def test_asymmetry_in_last_partial_tile_rejected(self, row, col):
@@ -171,7 +197,7 @@ class TestFitKernel:
         K = gram_matrix(X, X, sigma=1.0)
         K[row, col] += 1e-6
         with pytest.raises(ValueError, match=r"asymmetric: max \|K - K\^T\| = 1\.000e-06"):
-            KernelRidgeSolver(K, 0.1)
+            fit_kernel(K, np.full((600, 2), 0.5), 0.1)
 
     @pytest.mark.parametrize("m", [1, 2, 513, 1025])
     def test_factor_matches_transposed_order_build(self, m):
@@ -286,6 +312,11 @@ class TestModelOutputs:
         A = rng.standard_normal((m, l))
         b = rng.standard_normal(l)
         return KernelModel(X, A, b, sigma=1.7)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, 1e-300])
+    def test_unusable_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"2 sigma\\^2 > 0, got {sigma}"):
+            KernelModel(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), sigma)
 
     def test_zero_weights_bias_rows(self):
         rng = np.random.default_rng(10)
