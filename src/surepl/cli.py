@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import KnnConfig
 from .data import SyntheticSpec, corrupt, format_float, load_dataset, save_dataset, write_lines
 from .harness import (
@@ -231,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,8 @@ non-increasing vector whose simplex threshold fixes every coordinate.
 calls it: `solve_opi` on one row, `solve_ops` at the surrogate anchor
 argmax_{j in S} q_j, `solve_op_exact` on one copy of the row per candidate
 anchor, and `update_confidence_matrix` (and the training loop) on a whole
-output matrix at the surrogate anchors.
+output matrix at the surrogate anchors.  Non-candidates enter it as -inf,
+which sorts last and runs through its sums and means without a NaN.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class QPResult:
 
 
 def _check_inputs(Q, Y, lam):
-    """Q as float64 and Y as a bool candidate mask after the checks that every
-    public entry shares; the single-row solvers pass 1 x l matrices."""
+    """Q as float64 and Y as a C-ordered bool candidate mask after the
+    checks every public entry shares; single-row solvers pass 1 x l matrices."""
     Q = np.asarray(Q, dtype=np.float64)
     Y = np.asarray(Y)
     if Q.ndim != 2 or Y.shape != Q.shape:
@@ -93,9 +94,9 @@ def _check_inputs(Q, Y, lam):
         raise ValueError("outputs must be finite")
     if not np.isin(Y, (0, 1)).all():
         raise ValueError("support entries must be 0 or 1")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    Yb = Y.astype(bool)
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    Yb = Y.astype(bool, order="C")
     empty = ~Yb.any(axis=1)
     if empty.any():
         bad = int(np.flatnonzero(empty)[0])
@@ -112,7 +113,7 @@ def _best_anchored(Q, Yb, lam: float, anchors) -> QPResult:
     anchors = np.asarray(anchors)
     k = anchors.size
     Qk = np.repeat(Q, k, axis=0)
-    P = _update_rows(Qk, _template(np.repeat(Yb, k, axis=0)), lam, anchors)
+    P = _update_rows(Qk, np.repeat(Yb, k, axis=0), lam, anchors)
     obj = ((P - Qk) ** 2).sum(axis=1) - lam * P[np.arange(k), anchors]
     i = int(np.argmin(obj))
     return QPResult(ConfidenceVector(P[i], Yb[0]), float(obj[i]), int(anchors[i]))
@@ -169,78 +170,67 @@ def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
     same kernel at the surrogate anchors.
     """
     Q, Yb = _check_inputs(Q, Y, lam)
-    return _update_rows(Q, _template(Yb), lam)
+    return _update_rows(Q, Yb, lam)
 
 
-def _template(Yb: np.ndarray) -> np.ndarray:
-    """The candidate template of a bool mask: 0 at candidates, -inf elsewhere.
-
-    Adding it to outputs masks out the non-candidates; the training loop
-    builds it once and reuses it every iteration.
-    """
-    return np.where(Yb, 0.0, -np.inf)
-
-
-def _update_rows(Q: np.ndarray, template: np.ndarray, lam, anchors=None) -> np.ndarray:
+def _update_rows(Q: np.ndarray, mask: np.ndarray, lam, anchors=None) -> np.ndarray:
     """Row i projects Q[i] + (lam / 2) e_anchor onto C(anchor); no checks.
 
-    template is `_template` of the candidate mask, with at least one candidate
+    mask is the C-ordered bool candidate mask, with at least one candidate
     per row; the training loop builds it from a PLDataset, which guarantees
-    that.  lam is one value or one per row.  anchors holds one candidate label
-    per row and defaults to the surrogate anchor, the candidate with the
-    largest output (ties to the lowest label).  P comes back as a new
+    that.  lam is one value or one per row.  anchors holds one candidate
+    label per row and defaults to the surrogate anchor, the candidate with
+    the largest output (ties to the lowest label).  P comes back as a new
     C-ordered array.
     """
     m, l = Q.shape
     rows = np.arange(m)
 
-    C = np.add(Q, template, order="C")  # rows contiguous for the sort
+    C = np.where(mask, Q, -np.inf)  # C-ordered like mask: rows contiguous for the sort
     if anchors is None:
         anchors = np.argmax(C, axis=1)
-    C[rows, anchors] += lam / 2.0
-    a_val = C[rows, anchors]
-    C[rows, anchors] = -np.inf
-    D = np.sort(C, axis=1)[:, ::-1]  # other candidates descending, -inf tail
+    a_val = C[rows, anchors] + lam / 2.0
+    C[rows, anchors] = np.inf
+    V = np.sort(C, axis=1)[:, ::-1]  # the anchor, other candidates descending, -inf tail
+    V[:, 0] = a_val
 
-    # V = (anchor value, D...).  Its prefix means are unimodal: they rise while
-    # the next value exceeds the running mean.  The anchor pools with the
-    # coordinates up to their peak tau, at the peak mean.
-    V = np.concatenate([a_val[:, None], D[:, : l - 1]], axis=1)
-    finite = np.isfinite(V)
-    cum = np.cumsum(np.where(finite, V, 0.0), axis=1)
+    # Prefix means of V are unimodal: they rise while the next value exceeds
+    # the running mean.  The anchor pools with the coordinates up to their
+    # peak tau, at the peak mean.  A -inf never passes the tests below.
+    cum = np.cumsum(V, axis=1)
     ranks = np.arange(1, l + 1)
 
     # simplex threshold (Held/Michelot rule) of the pooled vector, the peak
     # mean tau times then V[tau:], which is non-increasing.  The test can run
     # on V itself: pooling keeps the prefix sums from rank tau on, and every
     # rank up to tau passes, since each of those values is at least its
-    # prefix mean.
-    cond = finite & (V * ranks > cum - 1.0)
+    # prefix mean.  The anchor always passes, though a > a - 1 is false once
+    # a - 1 rounds to a.
+    cond = V * ranks > cum - 1.0
+    cond[:, 0] = True
     rho = cond.sum(axis=1)
     theta = (cum[rows, rho - 1] - 1.0) / rho
 
     # anchor level: the peak prefix mean of V, less the threshold
-    means = np.where(finite, cum / ranks, -np.inf)
+    means = cum / ranks
     tau = np.argmax(means, axis=1) + 1
     t = means[rows, tau - 1] - theta
     # only the anchor passes the threshold: the row commits, and a - (a - 1)
     # can miss 1 by an ulp (every other coordinate is already exactly 0)
     t[rho == 1] = 1.0
 
-    # Label order: clip(C - theta, 0, t), then the anchor and the pooled
-    # entries (C at or above the (tau-1)-th largest other candidate) set to t.
-    # In exact arithmetic a pooled value exceeds the pool mean, so it would
-    # clip to t by itself; but the rounded mean can exceed the smallest
-    # pooled value by an ulp, so they are set explicitly.  Selecting the pool
-    # by value rather than by sorted position differs only where an unpooled
-    # candidate equals the smallest pooled value.  Exact arithmetic rules that
-    # out (the smallest pooled value is above the peak mean, every unpooled
-    # value at or below it), so only a tie made by rounding could set one
-    # more entry to t where clipping would give a value an ulp away.
+    # Label order: clip(C - theta, 0, t), then the pooled entries (C at or
+    # above V[tau - 1], the anchor's +inf among them) set to t.  In exact
+    # arithmetic a pooled value exceeds the pool mean, so it would clip to t
+    # by itself; but the rounded mean can exceed the smallest pooled value
+    # by an ulp, so they are set explicitly.  Selecting the pool by value
+    # rather than by sorted position differs only where an unpooled
+    # candidate equals the smallest pooled value.  Exact arithmetic rules
+    # that out (the smallest pooled value is above the peak mean, every
+    # unpooled value at or below it), so only a tie made by rounding could
+    # set one more entry to t where clipping would give a value an ulp away.
     P = C - theta[:, None]
     np.maximum(P, 0.0, out=P)
     np.minimum(P, t[:, None], out=P)
-    pool_floor = np.where(tau > 1, D[rows, np.maximum(tau - 2, 0)], np.inf)
-    np.copyto(P, t[:, None], where=C >= pool_floor[:, None])
-    P[rows, anchors] = t
+    np.copyto(P, t[:, None], where=C >= V[rows, tau - 1][:, None])
     return P

@@ -96,12 +96,14 @@ def _cholesky_with_cond(M: np.ndarray, what: str):
     """Cholesky factor of the symmetric matrix M (overwritten) and its rcond.
 
     A matrix that is not positive definite has no Cholesky factor; it is
-    reported like a singular one, with a condition estimate of zero.
+    reported like a singular one, with a condition estimate of zero.  M is
+    not scanned for infs or NaNs: the fits build it from input checked at
+    their entry.
     """
     lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
     anorm = lange("1", M)  # reads M in place, with no m x m temporary
     try:
-        factor = cho_factor(M, overwrite_a=True)
+        factor = cho_factor(M, overwrite_a=True, check_finite=False)
     except LinAlgError:
         rcond, info = 0.0, 0
     else:
@@ -123,8 +125,10 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     P = np.asarray(P, dtype=np.float64)
     if X.ndim != 2 or P.ndim != 2 or X.shape[0] != P.shape[0]:
         raise ValueError("X and P must be 2-D with matching row counts")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (np.isfinite(X).all() and np.isfinite(P).all()):
+        raise ValueError("X and P must be finite")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     m, n = X.shape
     xsum = X.sum(axis=0)
     psum = P.sum(axis=0)
@@ -197,14 +201,17 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     K A + 1 b^T = P - beta A: b gives them P's column means, and the
     condition reads H (K A - P) = -beta A.
 
-    Checks K (square, symmetric to SYMMETRY_TOL), beta > 0 and P (finite,
-    one row per row of K) once, then fits through `KernelRidgeSolver`.
+    Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
+    P (finite, one row per row of K) once, then fits through
+    `KernelRidgeSolver`.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be square")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not np.isfinite(K).all():
+        raise ValueError("K must be finite")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     asym = _max_asymmetry(K)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")

@@ -10,8 +10,8 @@ budget runs out.
 `train_grid` is the one place that sets training up: it takes the bandwidth
 and the Gram matrix K once, factors the ridge system once per beta, and runs
 every lambda of that beta in lockstep through `_alternate`.  `train` is its
-single-point case and grid search calls it once per fold.  Each lambda's
-confidence matrix is a plain m x l row block of one stacked array; memory
+single-point case and grid search calls it once per fold.  The confidence
+matrices of the lambdas still running live in one m x k x l array; memory
 layout is left to the ridge solve, whose fit depends on values only.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dnrm2
 
-from .confidence import _template, _update_rows
+from .confidence import _update_rows
 from .data import PLDataset
 from .kernel import gram_matrix, mean_pairwise_distance, usable_sigma
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
@@ -89,48 +89,46 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     ridge system; cfg supplies init, max_iter and tol.  Returns one
     (A, b, P, trace) per lam, in order.
 
-    The confidence matrices of the lams still running are kept stacked by
-    rows, one m x l block per lam, with one lam per row in the confidence
-    update.  Each iteration makes one ridge solve on those blocks side by
-    side, scores them as P - beta A, and makes one confidence update.  A
-    lam's block freezes once its own change drops to the tolerance, so it
-    runs the iterations it would run alone.  Its A may differ from a solve of its own
-    block by round-off (a multi-column triangular solve blocks its work
+    The confidence matrices of the k lams still running live in one
+    m x k x l array P, so P[:, i] is the i-th live lam's matrix.  Read as
+    m x (k l) it is their blocks side by side, the right-hand side of one
+    ridge solve; read as (m k) x l it is one row per example and lam, the
+    input of one confidence update.  Both are reshapes, not copies.  A lam
+    freezes once its own change drops to the tolerance, so it runs the
+    iterations it would run alone.  Its A may differ from a solve of its own
+    matrix by round-off (a multi-column triangular solve blocks its work
     differently); with one lam the loop is exactly the single fit.
     """
     m, l = d.m, d.l
     mask = d.candidates.astype(bool)  # PLDataset guarantees 0/1 rows, none empty
     Y = d.candidates.astype(np.float64)
-    P = Y / Y.sum(axis=1, keepdims=True) if cfg.init == "normalized" else Y.copy()
+    P = Y / Y.sum(axis=1, keepdims=True) if cfg.init == "normalized" else Y
     lams = np.asarray(lams, dtype=np.float64)
-    live = list(range(lams.size))
-    P = np.tile(P, (lams.size, 1))
-    template = _template(np.tile(mask, (lams.size, 1)))  # its first k*m rows serve k blocks
+    live = np.arange(lams.size)
+    P = np.repeat(P[:, None], lams.size, axis=1)  # P[:, i] is lams[live[i]]'s matrix
     deltas: list[list[float]] = [[] for _ in live]
     fits: list = [None] * lams.size
     for it in range(cfg.max_iter):
-        k = len(live)
-        A, b = solver.solve(np.hstack(P.reshape(k, m, l)))
-        Q = P - solver.beta * np.vstack(np.hsplit(A, k))
-        P_new = _update_rows(Q, template[: k * m], np.repeat(lams[live], m))
+        k = live.size
+        A, b = solver.solve(P.reshape(m, k * l))
+        A, b = A.reshape(m, k, l), b.reshape(k, l)
+        Q = P - solver.beta * A
+        P_new = _update_rows(Q.reshape(m * k, l), np.repeat(mask, k, axis=0),
+                             np.tile(lams[live], m)).reshape(m, k, l)
         keep = []
         for i, lam_id in enumerate(live):
-            rows, cols = slice(i * m, (i + 1) * m), slice(i * l, (i + 1) * l)
             # scipy's BLAS, like every other BLAS call in the loop (see ridge.py),
             # over the entries in one fixed (column-major) order
-            delta = float(dnrm2((P_new[rows] - P[rows]).ravel(order="F")))
+            delta = float(dnrm2((P_new[:, i] - P[:, i]).ravel(order="F")))
             deltas[lam_id].append(delta)
             if delta <= cfg.tol or it == cfg.max_iter - 1:
                 trace = TrainTrace(tuple(deltas[lam_id]), it + 1, delta <= cfg.tol)
-                fits[lam_id] = (A[:, cols], b[cols], P_new[rows], trace)
+                fits[lam_id] = (A[:, i], b[i], P_new[:, i], trace)
             else:
                 keep.append(i)
         if not keep:
             break
-        if len(keep) < k:
-            P_new = P_new.reshape(k, m, l)[keep].reshape(-1, l)
-            live = [live[i] for i in keep]
-        P = P_new
+        P, live = P_new.take(keep, axis=1), live[keep]  # C order: the reshapes stay views
     return fits
 
 

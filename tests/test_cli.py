@@ -68,6 +68,15 @@ class TestTrainPredictEval:
         assert capsys.readouterr() == ("", "")
         assert load_model(model_path).sigma == 1e-160
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_lambda_commits_every_row(self, tmp_path, pl_file, capsys):
+        """At lambda = 1e200 every row commits to its anchor, without a warning."""
+        model_path = tmp_path / "m.model"
+        assert main(["train", "--data", str(pl_file), "--lambda", "1e200",
+                     "--model-out", str(model_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert np.isfinite(load_model(model_path).A).all()
+
     def test_full_pipeline(self, tmp_path, pl_file):
         model_path = tmp_path / "m.model"
         trace_path = tmp_path / "trace.csv"

@@ -14,7 +14,6 @@ import oracles
 from surepl.confidence import (
     ConfidenceVector,
     InfeasibleSupportError,
-    _template,
     _update_rows,
     solve_op_exact,
     solve_opi,
@@ -245,6 +244,30 @@ class TestUpdateConfidenceMatrix:
         assert committed[:500].all() and committed[500:].sum() > 100
         assert (P[committed] == E[committed]).all()
 
+    @pytest.mark.parametrize("lam", [1e17, 1e200])
+    def test_anchor_commits_at_huge_lambda(self, lam):
+        """a > a - 1 is false once a - 1 rounds to a; the anchor still passes
+        the threshold, so the row commits to it."""
+        P = update_confidence_matrix([[0.2, 0.5, 0.1], [0.3, -0.4, 0.9]], [[1, 1, 0], [1, 1, 1]], lam)
+        assert np.array_equal(P, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(solve_ops([0.2, 0.5, 0.1], [1, 1, 0], lam).p.p, [0.0, 1.0, 0.0])
+
+    def test_no_negative_zero(self):
+        """A -0.0 output below the threshold comes back as +0.0."""
+        P = update_confidence_matrix([[1.0, -0.0]], [[1, 1]], 0.0)
+        assert P.tobytes() == np.array([[1.0, 0.0]]).tobytes()
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [
+        lambda lam: update_confidence_matrix([[0.2, 0.5, 0.1]], [[1, 1, 0]], lam),
+        lambda lam: solve_ops([0.2, 0.5, 0.1], [1, 1, 0], lam),
+        lambda lam: solve_op_exact([0.2, 0.5, 0.1], [1, 1, 0], lam),
+        lambda lam: solve_opi([0.2, 0.5, 0.1], [1, 1, 0], lam, 0),
+    ], ids=["matrix", "ops", "exact", "opi"])
+    def test_bad_lambda_rejected(self, solve, lam):
+        with pytest.raises(ValueError, match=f"lambda must be finite and nonnegative, got {lam}"):
+            solve(lam)
+
     def test_non_finite_outputs_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -349,7 +372,7 @@ def test_kernel_matches_active_set_at_every_anchor(seed, l, lam):
     q = rng.integers(-4, 5, l) / 2.0
     anchors = np.flatnonzero(y)
     k = anchors.size
-    P = _update_rows(np.tile(q, (k, 1)), _template(np.tile(y.astype(bool), (k, 1))), lam, anchors)
+    P = _update_rows(np.tile(q, (k, 1)), np.tile(y.astype(bool), (k, 1)), lam, anchors)
     for p, j in zip(P, anchors):
         assert np.abs(p - oracles.active_set_opi(q, y, lam, j)).max() <= 1e-12
         assert abs(p.sum() - 1.0) <= 1e-12
@@ -370,7 +393,7 @@ def _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
     Q = np.asarray(Q, order=order)
     anchors = np.array([rng.choice(np.flatnonzero(y)) for y in Y])
     for a in (None, anchors):
-        P = _update_rows(Q, _template(Y), lam, a)
+        P = _update_rows(Q, Y, lam, a)
         ref = oracles.update_rows_argsort(Q, Y, lam, a)
         yield Q, Y, lam, a, P, ref
 
@@ -430,7 +453,7 @@ def test_pool_boundary_inside_a_tie():
     x = 0.8603286042588343
     Q = np.array([[0.015942371470798685, x, x, x, -0.9272510064242274, x]])
     Y = np.ones_like(Q, dtype=bool)
-    P = _update_rows(Q, _template(Y), 0.0)
+    P = _update_rows(Q, Y, 0.0)
     ref = oracles.update_rows_argsort(Q, Y, 0.0)
     assert not np.array_equal(P, ref)
     assert (P[0, [1, 2, 3, 5]] == P[0, 1]).all()

@@ -78,6 +78,16 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_linear(np.ones((2, 2)), np.ones((2, 2)), beta=0.0)
 
+    @pytest.mark.parametrize("X, P, beta, message", [
+        (np.ones((2, 2)), np.ones((2, 2)), np.inf, "beta must be positive and finite, got inf"),
+        (np.ones((2, 2)), np.ones((2, 2)), np.nan, "beta must be positive and finite, got nan"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 2)), 0.1, "X and P must be finite"),
+        (np.eye(2), np.array([[0.5, np.inf], [1.0, 0.0]]), 0.1, "X and P must be finite"),
+    ])
+    def test_malformed_input_rejected(self, X, P, beta, message):
+        with pytest.raises(ValueError, match=message):
+            fit_linear(X, P, beta)
+
     def test_matches_augmented_normal_equations(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
@@ -169,6 +179,9 @@ class TestFitKernel:
         (np.eye(2), np.ones((2, 2)), 0.0, "beta must be positive"),
         (np.eye(2), np.ones((2, 2)), -1.0, "beta must be positive"),
         (np.eye(2), np.ones((2, 2)), np.nan, "beta must be positive"),
+        (np.eye(3), np.eye(3), np.inf, "beta must be positive and finite, got inf"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones((2, 2)), 0.1, "K must be finite"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones((2, 2)), 0.1, "K must be finite"),
         (np.eye(2), np.ones((3, 2)), 0.1, "P must have one row per training instance"),
         (np.eye(2), np.ones(2), 0.1, "P must have one row per training instance"),
     ])
