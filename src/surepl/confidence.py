@@ -220,7 +220,8 @@ def _update_rows(Q: np.ndarray, mask: np.ndarray, lam, anchors=None) -> np.ndarr
     t[rho == 1] = 1.0
 
     # Label order: clip(C - theta, 0, t), then the pooled entries (C at or
-    # above V[tau - 1], the anchor's +inf among them) set to t.  In exact
+    # above V[tau - 1], the anchor's +inf among them; the anchor alone if
+    # tau == 1, where a tie could reach V[0]) set to t.  In exact
     # arithmetic a pooled value exceeds the pool mean, so it would clip to t
     # by itself; but the rounded mean can exceed the smallest pooled value
     # by an ulp, so they are set explicitly.  Selecting the pool by value
@@ -232,5 +233,5 @@ def _update_rows(Q: np.ndarray, mask: np.ndarray, lam, anchors=None) -> np.ndarr
     P = C - theta[:, None]
     np.maximum(P, 0.0, out=P)
     np.minimum(P, t[:, None], out=P)
-    np.copyto(P, t[:, None], where=C >= V[rows, tau - 1][:, None])
+    np.copyto(P, t[:, None], where=C >= np.where(tau > 1, V[rows, tau - 1], np.inf)[:, None])
     return P

@@ -11,11 +11,12 @@ the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
 factors the kernel system, constant across its iterations, once in a
 `KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
 K, beta and P training gives it and checks none of them.  It builds
-H K H + beta I in K's own row order and hands LAPACK the transpose, a
+H K H + beta I over K, in K's own order, and hands LAPACK the transpose, a
 Fortran view, to factor in place; for a symmetric K that view is the same
-matrix bit for bit.  The solver keeps no K: a fit's training-set scores are
-P - beta A (see `fit_kernel`).  Each solve copies P once into Fortran order,
-so a fit depends on P's values and not on its memory layout.
+matrix bit for bit.  So a factor needs no m x m array besides K, and no
+solve needs K: a fit's training-set scores are P - beta A (see
+`fit_kernel`).  Each solve copies P once into Fortran order, so a fit
+depends on P's values and not on its memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
 matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
@@ -130,33 +131,26 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     m, n = X.shape
-    xsum = X.sum(axis=0)
-    psum = P.sum(axis=0)
-    M = X.T @ X + beta * np.eye(n) - np.outer(xsum, xsum) / m
-    rhs = X.T @ P - np.outer(xsum, psum) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        xsum = X.sum(axis=0)
+        psum = P.sum(axis=0)
+        M = X.T @ X + beta * np.eye(n) - np.outer(xsum, xsum) / m
+        rhs = X.T @ P - np.outer(xsum, psum) / m
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        raise ValueError("X and P overflow the linear ridge system: its entries exceed float64")
     factor, _ = _cholesky_with_cond(M, "linear ridge")
     W = cho_solve(factor, rhs)
     b = (psum - W.T @ xsum) / m
     return W, b
 
 
-def _max_asymmetry(K: np.ndarray) -> float:
-    """max |K - K^T|, compared in 512 x 512 tile pairs so the transposed reads
-    stay within cache and no m x m temporary is made."""
-    m = K.shape[0]
-    asym = 0.0
-    for i in range(0, m, 512):
-        for j in range(i, m, 512):
-            d = K[i : i + 512, j : j + 512] - K[j : j + 512, i : i + 512].T
-            asym = max(asym, float(np.abs(d, out=d).max()))
-    return asym
-
-
 class KernelRidgeSolver:
     """Factors the kernel ridge system once; solve() refits for any P.
 
-    Checks nothing: its caller gives a symmetric float64 K, beta > 0 and
-    finite P's of m rows, as training does.  `fit_kernel` checks outside input.
+    Builds and factors the system over K, so K is overwritten; a caller that
+    still needs K passes a copy.  Checks nothing: its caller gives a symmetric
+    C-ordered float64 K, beta > 0 and finite P's of m rows, as training does.
+    `fit_kernel` checks outside input.
     """
 
     def __init__(self, K: np.ndarray, beta: float):
@@ -164,14 +158,14 @@ class KernelRidgeSolver:
         self.m = m
         self.beta = float(beta)
         self.ksum = K.sum(axis=0)  # K^T 1 == K 1 for a symmetric K
-        # H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built in
-        # K's order; its transpose is a Fortran view that LAPACK factors in place
+        # H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built over
+        # K in its order; its transpose is a Fortran view that LAPACK factors in place
         r = self.ksum / m
-        M = np.subtract(K, r[:, None])
-        M -= r
-        M += r.mean()
-        M.flat[:: m + 1] += beta
-        self._factor, self.rcond = _cholesky_with_cond(M.T, "kernel ridge")
+        K -= r[:, None]
+        K -= r
+        K += r.mean()
+        K.flat[:: m + 1] += beta
+        self._factor, self.rcond = _cholesky_with_cond(K.T, "kernel ridge")
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) for the confidence matrix P; depends on P's values only.
@@ -203,7 +197,8 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
     P (finite, one row per row of K) once, then fits through
-    `KernelRidgeSolver`.
+    `KernelRidgeSolver` in one working copy, which first holds K - K^T for
+    the symmetry check; the caller's K is left unchanged.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -212,7 +207,8 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("K must be finite")
     if not 0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    asym = _max_asymmetry(K)
+    M = np.subtract(K, K.T)
+    asym = float(np.abs(M, out=M).max())
     if asym > SYMMETRY_TOL:
         raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
     P = np.asarray(P, dtype=np.float64)
@@ -220,7 +216,8 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("P must have one row per training instance")
     if not np.isfinite(P).all():
         raise ValueError("P must be finite")
-    return KernelRidgeSolver(K, beta).solve(P)
+    np.copyto(M, K)
+    return KernelRidgeSolver(M, beta).solve(P)
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:

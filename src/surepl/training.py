@@ -150,10 +150,11 @@ def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]
     else:  # one instance has no pairwise distances; its 1x1 Gram matrix is [[1]] for any sigma
         sigma = 1.0 if d.m == 1 else mean_pairwise_distance(X)
     K = gram_matrix(X, X, sigma)
-    # the solver is never named, so at most K and one beta's factor are held at once
+    # solvers factor over the K they get: an unnamed copy, and K itself for the last beta
     return [[(KernelModel(X, A, b, sigma), P, trace)
-             for A, b, P, trace in _alternate(KernelRidgeSolver(K, beta), d, lams, base)]
-            for beta in betas]
+             for A, b, P, trace in _alternate(
+                 KernelRidgeSolver(K.copy() if i < len(betas) - 1 else K, beta), d, lams, base)]
+            for i, beta in enumerate(betas)]
 
 
 def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, TrainTrace]:

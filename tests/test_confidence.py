@@ -252,6 +252,14 @@ class TestUpdateConfidenceMatrix:
         assert np.array_equal(P, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(solve_ops([0.2, 0.5, 0.1], [1, 1, 0], lam).p.p, [0.0, 1.0, 0.0])
 
+    def test_tie_with_anchor_at_huge_outputs_stays_feasible(self):
+        """At |q| >= 2^53 the pool can stop at the anchor while a candidate
+        ties its value; only the anchor takes the pool level, so the row
+        still sums to 1."""
+        P = update_confidence_matrix([[1e17, 1e17, 3.0]], [[1, 1, 1]], 0.0)
+        assert np.array_equal(P, [[1.0, 0.0, 0.0]])
+        assert np.array_equal(solve_ops([1e17, 1e17, 3.0], [1, 1, 1], 0.0).p.p, [1.0, 0.0, 0.0])
+
     def test_no_negative_zero(self):
         """A -0.0 output below the threshold comes back as +0.0."""
         P = update_confidence_matrix([[1.0, -0.0]], [[1, 1]], 0.0)

@@ -83,6 +83,8 @@ class TestFitLinear:
         (np.ones((2, 2)), np.ones((2, 2)), np.nan, "beta must be positive and finite, got nan"),
         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 2)), 0.1, "X and P must be finite"),
         (np.eye(2), np.array([[0.5, np.inf], [1.0, 0.0]]), 0.1, "X and P must be finite"),
+        (np.array([[1e200, 0.0], [0.0, 1.0], [2e200, 1.0]]), np.eye(3)[:, :2], 0.1,
+         "X and P overflow the linear ridge system"),
     ])
     def test_malformed_input_rejected(self, X, P, beta, message):
         with pytest.raises(ValueError, match=message):
@@ -202,10 +204,19 @@ class TestFitKernel:
             tracemalloc.stop()
         assert peak < 2 * K.nbytes
 
+    def test_fit_leaves_k_unchanged(self):
+        """The solver overwrites the matrix it is given; fit_kernel hands it
+        a working copy, so the caller's K keeps its bits."""
+        X = np.random.default_rng(25).standard_normal((40, 3))
+        K = gram_matrix(X, X, sigma=1.5)
+        K_before = K.copy()
+        fit_kernel(K, np.full((40, 2), 0.5), 0.1)
+        assert np.array_equal(K, K_before)
+
     @pytest.mark.parametrize("row, col", [(599, 520), (520, 599), (599, 3), (3, 599)])
     def test_asymmetry_in_last_partial_tile_rejected(self, row, col):
-        """600 rows leave a partial last tile; an entry there, in either
-        triangle, is still compared with its mirror."""
+        """An entry at the last row or column, in either triangle, is
+        compared with its mirror."""
         X = np.random.default_rng(23).standard_normal((600, 3))
         K = gram_matrix(X, X, sigma=1.0)
         K[row, col] += 1e-6
@@ -224,7 +235,7 @@ class TestFitKernel:
         """
         X = np.random.default_rng(m).standard_normal((m, 5))
         K = gram_matrix(X, X, sigma=2.5)
-        solver = KernelRidgeSolver(K, 0.05)
+        solver = KernelRidgeSolver(K.copy(), 0.05)
         U, rcond = oracles.kernel_ridge_factor_fortran(K, 0.05)
         assert np.array_equal(np.triu(solver._factor[0]), U)
         assert abs(solver.rcond - rcond) <= 4 * np.spacing(rcond)
@@ -271,11 +282,13 @@ class TestFitKernel:
         X = rng.standard_normal((m, 3))
         K = gram_matrix(X, X, sigma=1.1)
         P = rng.random((m, 4))
-        A, b = KernelRidgeSolver(K, beta).solve(P)
+        A, b = KernelRidgeSolver(K.copy(), beta).solve(P)
         scale = np.abs(K) @ np.abs(A) + np.abs(b)
         assert np.all(np.abs(P - beta * A - (K @ A + b)) <= 1e-9 * scale)
 
     def test_factor_holds_one_extra_matrix(self):
+        """The solver builds and factors its system in K's buffer, so it
+        allocates no m x m array."""
         X = np.random.default_rng(12).standard_normal((600, 5))
         K = gram_matrix(X, X, sigma=2.0)
         tracemalloc.start()
@@ -284,13 +297,13 @@ class TestFitKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * K.nbytes
+        assert peak < K.nbytes // 4
 
     def test_solver_reuse_matches_single_shot(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((10, 2))
         K = gram_matrix(X, X, sigma=1.0)
-        solver = KernelRidgeSolver(K, beta=0.3)
+        solver = KernelRidgeSolver(K.copy(), beta=0.3)
         for _ in range(3):
             P = rng.random((10, 3))
             A1, b1 = solver.solve(P)

@@ -1,8 +1,15 @@
 """Alternating training loop and prediction behavior."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import surepl
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
@@ -13,6 +20,21 @@ from surepl.training import TrainConfig, TrainTrace, predict, train, train_grid
 
 def supervised_blobs(m=60, classes=3, seed=0):
     return make_blobs_dataset(m, classes=classes, separation=6.0, spread=0.6, seed=seed)
+
+
+def peak_traced_bytes(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def noisy_blobs_600():
+    clean = make_blobs_dataset(600, classes=4, separation=4.0, spread=1.0, seed=7)
+    return corrupt(clean, SyntheticSpec(p=0.5, r=1, mode="random", seed=8))
 
 
 class TestLockstep:
@@ -39,8 +61,22 @@ class TestLockstep:
             assert np.abs(b - ref_model.b).max() <= 1e-9
             assert np.abs(P - ref_P).max() <= 1e-9
 
+    def test_grid_holds_k_and_one_factor(self):
+        """Each earlier beta factors an unnamed copy of K and the last beta K
+        itself, so a grid holds at most two m x m arrays."""
+        d = noisy_blobs_600()
+        cfg = TrainConfig(max_iter=3)
+        peak = peak_traced_bytes(train_grid, d, [0.1, 0.3], [0.01, 0.05, 0.2], cfg)
+        assert peak < 2.5 * 8 * d.m**2
+
 
 class TestTrain:
+    def test_holds_one_kernel_matrix(self):
+        """The ridge factor is built in K's own buffer: train holds one m x m array."""
+        d = noisy_blobs_600()
+        peak = peak_traced_bytes(train, d, TrainConfig(max_iter=3))
+        assert peak < 1.5 * 8 * d.m**2
+
     def test_supervised_lambda_zero_fixed_point(self):
         d = supervised_blobs()
         cfg = TrainConfig(lam=0.0, beta=0.1, max_iter=20, tol=1e-3)
@@ -194,3 +230,37 @@ class TestPredict:
         model, _, _ = train(d, TrainConfig(lam=0.0, beta=0.001, max_iter=5))
         acc = float(np.mean(predict(model, d.features) == d.truth))
         assert acc >= 0.99
+
+
+# train at m=1500, predict 3000 held-out rows, and a 3 x 3 grid search at m=300
+THREADS_JOB = """
+import json
+from surepl import SyntheticSpec, TrainConfig, corrupt, grid_search, make_blobs_dataset
+from surepl import predict, train
+clean = make_blobs_dataset(4500, classes=10, n_features=10, seed=11)
+d = corrupt(clean.subset(range(1500)), SyntheticSpec(p=0.7, r=2, seed=12))
+model, _, trace = train(d, TrainConfig())
+labels = predict(model, clean.subset(range(1500, 4500)).features)
+grid = grid_search(d.subset(range(300)), (0.01, 0.1, 1.0), (0.01, 0.1, 1.0), 5, 13)
+print(json.dumps({"labels": labels.tolist(), "iterations": trace.iterations_run,
+                  "selected": [grid.lam, grid.beta]}))
+"""
+
+
+class TestBlasThreads:
+    def test_labels_and_selection_agree_across_thread_counts(self):
+        """A, P and query scores may differ in their last bits between BLAS
+        thread counts, since a threaded BLAS splits its sums differently; the
+        labels, iteration count and selected (lambda, beta) may not."""
+        # pytest's pythonpath setting does not reach a child process
+        src = os.path.dirname(os.path.dirname(surepl.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        results = []
+        for threads in ("1", "2"):
+            r = subprocess.run(
+                [sys.executable, "-c", THREADS_JOB], capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert r.returncode == 0, r.stderr
+            results.append(json.loads(r.stdout))
+        assert results[0] == results[1]
