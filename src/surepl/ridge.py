@@ -4,19 +4,23 @@ Both fits minimize a squared loss against the confidence matrix P plus a
 ridge penalty, with an unpenalized bias row.  Eliminating the bias leaves a
 single dense linear system, symmetric positive definite once written with
 the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
-(H K H + beta I) A = H P.  Both are solved through a Cholesky factor, and a
-1-norm condition estimate guards against effectively singular systems.
+(H K H + beta I) A = H P.  Both are solved through a Cholesky factor, guarded
+against systems singular to working precision by a reciprocal 1-norm
+condition number of at least RCOND_FLOOR.
 
-`fit_linear` and `fit_kernel` check outside input once, at entry.  Training
-factors the kernel system, constant across its iterations, once in a
-`KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
-K, beta and P training gives it and checks none of them.  It builds
-H K H + beta I over K, in K's own order, and hands LAPACK the transpose, a
-Fortran view, to factor in place; for a symmetric K that view is the same
-matrix bit for bit.  So a factor needs no m x m array besides K, and no
-solve needs K: a fit's training-set scores are P - beta A (see
-`fit_kernel`).  Each solve copies P once into Fortran order, so a fit
-depends on P's values and not on its memory layout.
+`fit_linear` and `fit_kernel` check outside input once, at entry, and guard
+their factor with LAPACK's condition estimate (`_cholesky_with_cond`).
+Training factors the kernel system, constant across its iterations, once in
+a `KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
+K, beta and P training gives it and checks none of them.  Its K is a
+Gaussian Gram matrix, so an a-priori bound on the condition number, which
+depends only on (m, beta), takes the place of the estimate and refuses a
+hopeless beta before any work on K.  The system is built over K, in K's own
+order, and LAPACK factors its transpose, a Fortran view, in place; for a
+symmetric K that view is the same matrix bit for bit.  So a factor needs no
+m x m array besides K, and no solve needs K: a fit's training-set scores
+are P - beta A (see `fit_kernel`).  Each solve copies P once into Fortran
+order, so a fit depends on P's values and not on its memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
 matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
@@ -27,6 +31,7 @@ two makes their worker threads compete for the same cores.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -96,7 +101,11 @@ class KernelModel:
 def _cholesky_with_cond(M: np.ndarray, what: str):
     """Cholesky factor of the symmetric matrix M (overwritten) and its rcond.
 
-    A matrix that is not positive definite has no Cholesky factor; it is
+    The boundary fits' guard: `lange` and LAPACK's `pocon` estimate M's
+    reciprocal 1-norm condition number, which must reach RCOND_FLOOR.  Their
+    M comes from outside input, such as a K that may be indefinite, so no
+    a-priori bound holds for it (training's solver uses one instead).  A
+    matrix that is not positive definite has no Cholesky factor; it is
     reported like a singular one, with a condition estimate of zero.  M is
     not scanned for infs or NaNs: the fits build it from input checked at
     their entry.
@@ -144,43 +153,81 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return W, b
 
 
+def _kernel_system(K: np.ndarray, beta: float) -> np.ndarray:
+    """Overwrites the symmetric K with H K H + beta I and returns K^T 1.
+
+    H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built over K
+    in its own order; its transpose is a Fortran view that LAPACK factors in
+    place.
+    """
+    m = K.shape[0]
+    ksum = K.sum(axis=0)  # K^T 1 == K 1 for a symmetric K
+    r = ksum / m
+    K -= r[:, None]
+    K -= r
+    K += r.mean()
+    K.flat[:: m + 1] += beta
+    return ksum
+
+
+def _kernel_solve(factor, ksum: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) for P from the factor of H K H + beta I and K^T 1.
+
+    P is copied once into Fortran order, the layout LAPACK solves in, so its
+    column sums and the solve run alike for any input layout.
+    """
+    R = np.array(P, dtype=np.float64, order="F")
+    m = R.shape[0]
+    psum = R.sum(axis=0)
+    R -= psum / m
+    A = cho_solve(factor, R, overwrite_b=True, check_finite=False)
+    b = (psum - dgemv(1.0, A, ksum, trans=1)) / m
+    return A, b
+
+
 class KernelRidgeSolver:
     """Factors the kernel ridge system once; solve() refits for any P.
 
     Builds and factors the system over K, so K is overwritten; a caller that
-    still needs K passes a copy.  Checks nothing: its caller gives a symmetric
-    C-ordered float64 K, beta > 0 and finite P's of m rows, as training does.
+    still needs K passes a copy.  Checks nothing: its caller gives a Gaussian
+    Gram matrix K (symmetric, C-ordered, positive semidefinite, entries in
+    [0, 1]), beta > 0 and finite P's of m rows, as training does.
     `fit_kernel` checks outside input.
+
+    For such a K every entry of H K H lies in [-2, 2] and its eigenvalues are
+    nonnegative, so M = H K H + beta I has ||M||_1 <= 2m + beta and
+    ||M^-1||_1 <= sqrt(m) ||M^-1||_2 <= sqrt(m) / beta.  Its reciprocal 1-norm
+    condition number is thus at least beta / ((2m + beta) sqrt(m)), kept as
+    `rcond`: a bound that depends on (m, beta) alone, so it is deterministic
+    and free.  A beta whose bound is below RCOND_FLOOR is refused before any
+    work on K.
     """
 
     def __init__(self, K: np.ndarray, beta: float):
         m = K.shape[0]
-        self.m = m
         self.beta = float(beta)
-        self.ksum = K.sum(axis=0)  # K^T 1 == K 1 for a symmetric K
-        # H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built over
-        # K in its order; its transpose is a Fortran view that LAPACK factors in place
-        r = self.ksum / m
-        K -= r[:, None]
-        K -= r
-        K += r.mean()
-        K.flat[:: m + 1] += beta
-        self._factor, self.rcond = _cholesky_with_cond(K.T, "kernel ridge")
+        self.rcond = self.beta / ((2 * m + self.beta) * math.sqrt(m))
+        if self.rcond < RCOND_FLOOR:
+            raise SingularSystemError(
+                f"kernel ridge system matrix too ill-conditioned for beta = {beta:g} at "
+                f"m = {m}: reciprocal 1-norm condition bound {self.rcond:.3e} < {RCOND_FLOOR:g}"
+            )
+        self.ksum = _kernel_system(K, self.beta)
+        try:
+            self._factor = cho_factor(K.T, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            raise SingularSystemError(
+                "kernel ridge system matrix not positive definite "
+                f"(reciprocal 1-norm condition bound {self.rcond:.3e})"
+            ) from None
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) for the confidence matrix P; depends on P's values only.
 
-        P is copied once into Fortran order, the layout LAPACK solves in, so
-        its column sums and the solve run alike for any input layout.  The
-        training-set scores K A + 1 b^T of the result equal P - beta A (see
-        `fit_kernel`), so no solve needs K again.
+        The training-set scores K A + 1 b^T of the result equal P - beta A
+        (see `fit_kernel`), so no solve needs K again.
         """
-        R = np.array(P, dtype=np.float64, order="F")
-        psum = R.sum(axis=0)
-        R -= psum / self.m
-        A = cho_solve(self._factor, R, overwrite_b=True, check_finite=False)
-        b = (psum - dgemv(1.0, A, self.ksum, trans=1)) / self.m
-        return A, b
+        return _kernel_solve(self._factor, self.ksum, P)
 
 
 def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +243,11 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     condition reads H (K A - P) = -beta A.
 
     Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
-    P (finite, one row per row of K) once, then fits through
-    `KernelRidgeSolver` in one working copy, which first holds K - K^T for
-    the symmetry check; the caller's K is left unchanged.
+    P (finite, one row per row of K) once, then builds and factors the system
+    as `KernelRidgeSolver` does, in one working copy, which first holds
+    K - K^T for the symmetry check; the caller's K is left unchanged.  An
+    outside K may be indefinite, so the solver's a-priori bound does not
+    hold for it: the factor is guarded by LAPACK's condition estimate.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -217,7 +266,9 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(P).all():
         raise ValueError("P must be finite")
     np.copyto(M, K)
-    return KernelRidgeSolver(M, beta).solve(P)
+    ksum = _kernel_system(M, beta)
+    factor, _ = _cholesky_with_cond(M.T, "kernel ridge")
+    return _kernel_solve(factor, ksum, P)
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from surepl import training
 from surepl.cli import main
 from surepl.data import SyntheticSpec, corrupt, load_dataset, save_dataset
 from surepl.harness import make_blobs_dataset, read_labels, report_from_json
@@ -305,6 +306,7 @@ MALFORMED_FLAGS = [
     (["train", "--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
     (["train", "--lambda", "inf"], "lam must be finite and nonnegative, got inf"),
     (["train", "--beta", "inf"], "beta must be finite and positive, got inf"),
+    (["train", "--beta", "1e-300"], "reciprocal 1-norm condition bound 1.976e-303 < 1e-13"),
     (["grid", "--inner-folds", "2", "--lambda-grid=-5,0.3"],
      "lam must be finite and nonnegative, got -5.0"),
     (["grid", "--inner-folds", "2", "--beta-grid=0,0.1"], "beta must be finite and positive, got 0.0"),
@@ -354,6 +356,14 @@ class TestErrorPaths:
         *usage, last = err.splitlines()
         assert all(line.startswith(("usage:", " ")) for line in usage)
         assert "error:" in last and message in last
+
+    def test_kernel_matrix_past_memory_exits_2(self, tmp_path, pl_file, capsys, monkeypatch):
+        monkeypatch.setattr(training, "_memory_limit", lambda: 1000)
+        code = main(["train", "--data", str(pl_file), "--model-out", str(tmp_path / "m.model")])
+        assert code == 2 and not (tmp_path / "m.model").exists()
+        assert capsys.readouterr() == ("", "error: 40 training instances need 12800 bytes for the "
+                                           "kernel matrix, more than the 1000 bytes of memory "
+                                           "available\n")
 
     @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
     def test_malformed_input_names_line(self, tmp_path, capsys, command, target, text, line):

@@ -228,17 +228,40 @@ class TestFitKernel:
         """Built in K's own order, the factor is bit-identical to the
         transposed-order build for a symmetric K.
 
-        The condition estimate is compared to within a few ulps: LAPACK's
-        pocon gets the same factor and norm, but its last bit depends on
-        where its work arrays fall in memory, so two calls on one factor in
-        one process can differ by an ulp.
+        The solver keeps the a-priori condition bound, which depends on
+        (m, beta) alone, and not LAPACK's pocon estimate of the oracle.
         """
         X = np.random.default_rng(m).standard_normal((m, 5))
         K = gram_matrix(X, X, sigma=2.5)
         solver = KernelRidgeSolver(K.copy(), 0.05)
         U, rcond = oracles.kernel_ridge_factor_fortran(K, 0.05)
         assert np.array_equal(np.triu(solver._factor[0]), U)
-        assert abs(solver.rcond - rcond) <= 4 * np.spacing(rcond)
+        assert solver.rcond == 0.05 / ((2 * m + 0.05) * np.sqrt(m)) <= rcond
+
+    def test_condition_bound_never_above_the_estimate(self):
+        """beta / ((2m + beta) sqrt(m)) bounds the reciprocal 1-norm condition
+        number of a Gaussian system from below; pocon's estimate of it is no
+        lower, since it underestimates ||M^-1||_1."""
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            m = int(rng.integers(2, 401))
+            X = rng.standard_normal((m, int(rng.integers(1, 7))))
+            K = gram_matrix(X, X, sigma=float(rng.uniform(0.3, 3.0)))
+            beta = float(10 ** rng.uniform(-9, 1))
+            _, rcond = oracles.kernel_ridge_factor_fortran(K, beta)
+            assert KernelRidgeSolver(K, beta).rcond == beta / ((2 * m + beta) * np.sqrt(m)) <= rcond
+
+    @pytest.mark.parametrize("m, beta", [(1, 1e-300), (300, 1e-9), (4000, 5e-8)])
+    def test_hopeless_beta_refused_before_any_work(self, monkeypatch, m, beta):
+        """A beta whose condition bound is below the floor is refused by
+        name before K is read or factored."""
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored a system the bound refuses")
+
+        monkeypatch.setattr(ridge, "cho_factor", no_factor)
+        K = np.broadcast_to(np.nan, (m, m))  # read-only, and any read of it shows
+        with pytest.raises(SingularSystemError, match=r"condition bound \d\.\d{3}e-\d+ < 1e-13"):
+            KernelRidgeSolver(K, beta)
 
     def test_singular_system_names_condition(self):
         beta = 0.25

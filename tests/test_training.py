@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surepl
+from surepl import training
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
@@ -68,6 +70,44 @@ class TestLockstep:
         cfg = TrainConfig(max_iter=3)
         peak = peak_traced_bytes(train_grid, d, [0.1, 0.3], [0.01, 0.05, 0.2], cfg)
         assert peak < 2.5 * 8 * d.m**2
+
+
+class TestMemoryGuard:
+    """train_grid refuses a kernel matrix the memory limit cannot hold, before
+    any work; the limit is monkeypatched, so nothing large is allocated."""
+
+    def test_kernel_matrix_past_the_limit_refused_by_m(self, monkeypatch):
+        def no_bandwidth(X):
+            raise AssertionError("took the bandwidth of a refused dataset")
+
+        monkeypatch.setattr(training, "_memory_limit", lambda: 8 * 60 * 60 - 1)
+        monkeypatch.setattr(training, "mean_pairwise_distance", no_bandwidth)
+        with pytest.raises(ValueError, match=r"^60 training instances need 28800 bytes for the "
+                                             r"kernel matrix, more than the 28799 bytes"):
+            train(supervised_blobs(m=60), TrainConfig(max_iter=2))
+
+    def test_several_betas_count_a_copy(self, monkeypatch):
+        d = supervised_blobs(m=60)
+        monkeypatch.setattr(training, "_memory_limit", lambda: 2 * 8 * 60 * 60 - 1)
+        cfg = TrainConfig(max_iter=2)
+        train_grid(d, [0.1, 0.3], [0.05], cfg)
+        with pytest.raises(ValueError, match="need 57600 bytes"):
+            train_grid(d, [0.1], [0.05, 0.2], cfg)
+
+    def test_cgroup_limit_taken_when_lower(self, monkeypatch, tmp_path):
+        own = Path("/proc/self/cgroup")
+        v2 = [line[3:] for line in own.read_text().splitlines()
+              if line.startswith("0::")] if own.exists() else []
+        if not v2:
+            pytest.skip("this process has no cgroup v2 entry")
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        group = tmp_path / v2[0].lstrip("/")
+        group.mkdir(parents=True, exist_ok=True)
+        monkeypatch.setattr(training, "CGROUP_ROOT", tmp_path)
+        for text, limit in [("12345\n", 12345), ("max\n", physical),
+                            (f"{physical + 1}\n", physical)]:
+            (group / "memory.max").write_text(text)
+            assert training._memory_limit() == limit
 
 
 class TestTrain:
@@ -247,20 +287,47 @@ print(json.dumps({"labels": labels.tolist(), "iterations": trace.iterations_run,
 """
 
 
+# train at m=1000 and a 3 x 3 grid search at m=300; digests of every output bit
+IDENTITY_JOB = """
+import hashlib, json
+from surepl import SyntheticSpec, TrainConfig, corrupt, grid_search, make_blobs_dataset, train
+d = corrupt(make_blobs_dataset(1000, classes=10, n_features=10, seed=21),
+            SyntheticSpec(p=0.7, r=2, seed=22))
+model, P, trace = train(d, TrainConfig())
+grid = grid_search(d.subset(range(300)), (0.01, 0.1, 1.0), (0.01, 0.1, 1.0), 5, 23)
+result = {name: hashlib.sha256(a.tobytes()).hexdigest()
+          for name, a in (("A", model.A), ("b", model.b), ("P", P))}
+result.update(delta_p=list(trace.delta_p), entries=[list(e) for e in grid.entries])
+"""
+
+
+def run_child(job: str, **env) -> dict:
+    """json.loads of what the Python code `job` prints, run in a child process."""
+    # pytest's pythonpath setting does not reach a child process
+    src = os.path.dirname(os.path.dirname(surepl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", job], capture_output=True, text=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": path, **env})
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
 class TestBlasThreads:
     def test_labels_and_selection_agree_across_thread_counts(self):
         """A, P and query scores may differ in their last bits between BLAS
         thread counts, since a threaded BLAS splits its sums differently; the
         labels, iteration count and selected (lambda, beta) may not."""
-        # pytest's pythonpath setting does not reach a child process
-        src = os.path.dirname(os.path.dirname(surepl.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        results = []
-        for threads in ("1", "2"):
-            r = subprocess.run(
-                [sys.executable, "-c", THREADS_JOB], capture_output=True, text=True, timeout=300,
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert r.returncode == 0, r.stderr
-            results.append(json.loads(r.stdout))
+        results = [run_child(THREADS_JOB, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
         assert results[0] == results[1]
+
+    def test_outputs_repeat_bit_for_bit_at_one_thread_count(self):
+        """At one BLAS thread count, A, b, P, the changes of P and every grid
+        entry repeat bit for bit: twice in this process, and once in a child
+        process that inherits its thread settings."""
+        runs = []
+        for _ in range(2):
+            scope = {}
+            exec(IDENTITY_JOB, scope)
+            runs.append(scope["result"])
+        runs.append(run_child(IDENTITY_JOB + "print(json.dumps(result))"))
+        assert runs[0] == runs[1] == runs[2]
