@@ -7,9 +7,6 @@ from scipy.spatial.distance import cdist, pdist
 
 __all__ = ["mean_pairwise_distance", "gram_matrix"]
 
-# rows per tile of a square Gram matrix: the tile is the only array besides K
-GRAM_TILE_ROWS = 64
-
 
 def usable_sigma(sigma) -> bool:
     """Whether sigma is a Gaussian bandwidth: positive and finite, with 2 sigma^2
@@ -36,36 +33,19 @@ def gram_matrix(X_rows, X_cols, sigma: float) -> np.ndarray:
     """Gaussian kernel matrix: entry (i, j) = exp(-||x_i - x_j||^2 / (2 sigma^2)).
 
     Squared distances come from exact coordinate differences, so the square
-    case has a unit diagonal exactly and is symmetric bit for bit.  Given the
-    same array twice, it computes only the upper triangle, in tiles of
-    GRAM_TILE_ROWS rows, and copies each tile's transpose into the lower one;
-    the entries are those of the full computation, each taken alone.
+    case has a unit diagonal exactly and is symmetric to machine precision.
     """
     if not usable_sigma(sigma):
         raise ValueError(f"sigma must be finite and positive with 2 sigma^2 > 0, got {sigma}")
-    square = X_rows is X_cols
     X_rows = np.asarray(X_rows, dtype=np.float64)
-    X_cols = X_rows if square else np.asarray(X_cols, dtype=np.float64)
+    X_cols = np.asarray(X_cols, dtype=np.float64)
     if X_rows.ndim != 2 or X_cols.ndim != 2 or X_rows.shape[1] != X_cols.shape[1]:
         raise ValueError(
             f"dimension mismatch: {X_rows.shape} rows vs {X_cols.shape} columns"
         )
-    scale = -(2.0 * sigma * sigma)
-    if not square:
-        return _gaussian(cdist(X_rows, X_cols, "sqeuclidean"), scale)
-    m = X_rows.shape[0]
-    K = np.empty((m, m))
-    for i in range(0, m, GRAM_TILE_ROWS):
-        j = min(i + GRAM_TILE_ROWS, m)
-        tile = _gaussian(cdist(X_rows[i:j], X_rows[i:], "sqeuclidean"), scale)
-        K[i:j, i:] = tile
-        K[j:, i:j] = tile[:, j - i:].T
-    return K
-
-
-def _gaussian(sq: np.ndarray, scale: float) -> np.ndarray:
-    """exp(sq / scale), in sq's own buffer; a quotient that overflows to -inf
-    is an entry that exp makes exactly 0."""
+    # scaled and exponentiated in place, so K is the only m x n array held;
+    # a quotient that overflows to -inf is an entry that exp makes exactly 0
+    sq = cdist(X_rows, X_cols, "sqeuclidean")
     with np.errstate(over="ignore"):
-        sq /= scale
+        sq /= -(2.0 * sigma * sigma)
     return np.exp(sq, out=sq)

@@ -99,12 +99,10 @@ class KernelModel:
 
 
 def _cholesky_with_cond(M: np.ndarray, what: str):
-    """Cholesky factor of the symmetric matrix M (overwritten) and its rcond.
+    """Cholesky factor of the symmetric matrix M (overwritten).
 
     The boundary fits' guard: `lange` and LAPACK's `pocon` estimate M's
-    reciprocal 1-norm condition number, which must reach RCOND_FLOOR.  Their
-    M comes from outside input, such as a K that may be indefinite, so no
-    a-priori bound holds for it (training's solver uses one instead).  A
+    reciprocal 1-norm condition number, which must reach RCOND_FLOOR.  A
     matrix that is not positive definite has no Cholesky factor; it is
     reported like a singular one, with a condition estimate of zero.  M is
     not scanned for infs or NaNs: the fits build it from input checked at
@@ -122,7 +120,7 @@ def _cholesky_with_cond(M: np.ndarray, what: str):
         raise SingularSystemError(
             f"singular {what} system matrix (reciprocal 1-norm condition estimate {rcond:.3e})"
         )
-    return factor, float(rcond)
+    return factor
 
 
 def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +145,7 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         rhs = X.T @ P - np.outer(xsum, psum) / m
     if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
         raise ValueError("X and P overflow the linear ridge system: its entries exceed float64")
-    factor, _ = _cholesky_with_cond(M, "linear ridge")
+    factor = _cholesky_with_cond(M, "linear ridge")
     W = cho_solve(factor, rhs)
     b = (psum - W.T @ xsum) / m
     return W, b
@@ -197,20 +195,19 @@ class KernelRidgeSolver:
     For such a K every entry of H K H lies in [-2, 2] and its eigenvalues are
     nonnegative, so M = H K H + beta I has ||M||_1 <= 2m + beta and
     ||M^-1||_1 <= sqrt(m) ||M^-1||_2 <= sqrt(m) / beta.  Its reciprocal 1-norm
-    condition number is thus at least beta / ((2m + beta) sqrt(m)), kept as
-    `rcond`: a bound that depends on (m, beta) alone, so it is deterministic
-    and free.  A beta whose bound is below RCOND_FLOOR is refused before any
-    work on K.
+    condition number is thus at least beta / ((2m + beta) sqrt(m)): a bound
+    that depends on (m, beta) alone, so it is deterministic and free.  A beta
+    whose bound is below RCOND_FLOOR is refused before any work on K.
     """
 
     def __init__(self, K: np.ndarray, beta: float):
         m = K.shape[0]
         self.beta = float(beta)
-        self.rcond = self.beta / ((2 * m + self.beta) * math.sqrt(m))
-        if self.rcond < RCOND_FLOOR:
+        bound = self.beta / ((2 * m + self.beta) * math.sqrt(m))
+        if bound < RCOND_FLOOR:
             raise SingularSystemError(
                 f"kernel ridge system matrix too ill-conditioned for beta = {beta:g} at "
-                f"m = {m}: reciprocal 1-norm condition bound {self.rcond:.3e} < {RCOND_FLOOR:g}"
+                f"m = {m}: reciprocal 1-norm condition bound {bound:.3e} < {RCOND_FLOOR:g}"
             )
         self.ksum = _kernel_system(K, self.beta)
         try:
@@ -218,7 +215,7 @@ class KernelRidgeSolver:
         except LinAlgError:
             raise SingularSystemError(
                 "kernel ridge system matrix not positive definite "
-                f"(reciprocal 1-norm condition bound {self.rcond:.3e})"
+                f"(reciprocal 1-norm condition bound {bound:.3e})"
             ) from None
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +264,7 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("P must be finite")
     np.copyto(M, K)
     ksum = _kernel_system(M, beta)
-    factor, _ = _cholesky_with_cond(M.T, "kernel ridge")
+    factor = _cholesky_with_cond(M.T, "kernel ridge")
     return _kernel_solve(factor, ksum, P)
 
 

@@ -17,9 +17,7 @@ layout is left to the ridge solve, whose fit depends on values only.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg.blas import dnrm2
@@ -32,7 +30,6 @@ from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
 
 INIT_MODES = ("normalized", "literal")
-CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @dataclass(frozen=True)
@@ -135,38 +132,18 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     return fits
 
 
-def _memory_limit() -> int:
-    """Bytes of memory this process can have: physical memory, or its cgroup
-    v2 `memory.max` when that holds a lower number.  Reads only."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        for line in Path("/proc/self/cgroup").read_text().splitlines():
-            if line.startswith("0::"):  # the cgroup v2 hierarchy
-                text = (CGROUP_ROOT / line[3:].lstrip("/") / "memory.max").read_text().strip()
-                if text.isdigit():
-                    limit = min(limit, int(text))
-    except OSError:  # no cgroup v2 limit to read
-        pass
-    return limit
-
-
 def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]]:
     """Train every (lam, beta) on d; returns (model, final confidence matrix,
     trace) for each, indexed [beta][lam] in the order given.
 
     base supplies every setting but lam and beta.  Every point is checked as
-    a TrainConfig, and K's bytes against `_memory_limit`, before any work is
-    done.  The bandwidth and K are taken once, the ridge system is factored
-    once per beta, and that beta's lambdas run in lockstep on its factor (see
-    `_alternate`).  Deterministic given the dataset and the arguments.
+    a TrainConfig before any work is done.  The bandwidth and K are taken
+    once, the ridge system is factored once per beta, and that beta's lambdas
+    run in lockstep on its factor (see `_alternate`).  Deterministic given
+    the dataset and the arguments.
     """
     if not [replace(base, lam=lam, beta=beta) for beta in betas for lam in lams]:
         raise ValueError("grids must be nonempty")
-    need = 8 * d.m * d.m * (2 if len(betas) > 1 else 1)  # K, and a copy to factor while K waits
-    limit = _memory_limit()
-    if need > limit:
-        raise ValueError(f"{d.m} training instances need {need} bytes for the kernel matrix, "
-                         f"more than the {limit} bytes of memory available")
     X = d.features
     if base.sigma_override is not None:
         sigma = float(base.sigma_override)

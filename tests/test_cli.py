@@ -358,12 +358,16 @@ class TestErrorPaths:
         assert "error:" in last and message in last
 
     def test_kernel_matrix_past_memory_exits_2(self, tmp_path, pl_file, capsys, monkeypatch):
-        monkeypatch.setattr(training, "_memory_limit", lambda: 1000)
+        """A kernel matrix numpy cannot allocate ends in one error line, not a
+        traceback; the allocation fails by monkeypatch, so nothing large is made."""
+        def no_memory(X_rows, X_cols, sigma):
+            raise MemoryError("Unable to allocate 119. GiB for an array with shape (4e5, 4e5)")
+
+        monkeypatch.setattr(training, "gram_matrix", no_memory)
         code = main(["train", "--data", str(pl_file), "--model-out", str(tmp_path / "m.model")])
         assert code == 2 and not (tmp_path / "m.model").exists()
-        assert capsys.readouterr() == ("", "error: 40 training instances need 12800 bytes for the "
-                                           "kernel matrix, more than the 1000 bytes of memory "
-                                           "available\n")
+        assert capsys.readouterr() == ("", "error: Unable to allocate 119. GiB for an array with "
+                                           "shape (4e5, 4e5)\n")
 
     @pytest.mark.parametrize("command, target, text, line", MALFORMED_INPUTS)
     def test_malformed_input_names_line(self, tmp_path, capsys, command, target, text, line):

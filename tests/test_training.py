@@ -5,13 +5,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surepl
-from surepl import training
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
@@ -70,44 +68,6 @@ class TestLockstep:
         cfg = TrainConfig(max_iter=3)
         peak = peak_traced_bytes(train_grid, d, [0.1, 0.3], [0.01, 0.05, 0.2], cfg)
         assert peak < 2.5 * 8 * d.m**2
-
-
-class TestMemoryGuard:
-    """train_grid refuses a kernel matrix the memory limit cannot hold, before
-    any work; the limit is monkeypatched, so nothing large is allocated."""
-
-    def test_kernel_matrix_past_the_limit_refused_by_m(self, monkeypatch):
-        def no_bandwidth(X):
-            raise AssertionError("took the bandwidth of a refused dataset")
-
-        monkeypatch.setattr(training, "_memory_limit", lambda: 8 * 60 * 60 - 1)
-        monkeypatch.setattr(training, "mean_pairwise_distance", no_bandwidth)
-        with pytest.raises(ValueError, match=r"^60 training instances need 28800 bytes for the "
-                                             r"kernel matrix, more than the 28799 bytes"):
-            train(supervised_blobs(m=60), TrainConfig(max_iter=2))
-
-    def test_several_betas_count_a_copy(self, monkeypatch):
-        d = supervised_blobs(m=60)
-        monkeypatch.setattr(training, "_memory_limit", lambda: 2 * 8 * 60 * 60 - 1)
-        cfg = TrainConfig(max_iter=2)
-        train_grid(d, [0.1, 0.3], [0.05], cfg)
-        with pytest.raises(ValueError, match="need 57600 bytes"):
-            train_grid(d, [0.1], [0.05, 0.2], cfg)
-
-    def test_cgroup_limit_taken_when_lower(self, monkeypatch, tmp_path):
-        own = Path("/proc/self/cgroup")
-        v2 = [line[3:] for line in own.read_text().splitlines()
-              if line.startswith("0::")] if own.exists() else []
-        if not v2:
-            pytest.skip("this process has no cgroup v2 entry")
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        group = tmp_path / v2[0].lstrip("/")
-        group.mkdir(parents=True, exist_ok=True)
-        monkeypatch.setattr(training, "CGROUP_ROOT", tmp_path)
-        for text, limit in [("12345\n", 12345), ("max\n", physical),
-                            (f"{physical + 1}\n", physical)]:
-            (group / "memory.max").write_text(text)
-            assert training._memory_limit() == limit
 
 
 class TestTrain:
