@@ -94,9 +94,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    nested = args.lambda_grid is not None or args.beta_grid is not None
+    if args.algo == "plknn" and (nested or args.traces):
+        flag = "--lambda-grid/--beta-grid" if nested else "--traces"
+        raise ValueError(f"{flag} needs --algo sure")
+    if nested and args.traces:
+        raise ValueError("--traces does not apply to nested cv (--lambda-grid/--beta-grid)")
     d = load_dataset(args.data)
     if args.algo == "sure":
-        if args.lambda_grid or args.beta_grid:
+        if nested:
             report = nested_cross_validate(
                 d,
                 args.lambda_grid or list(DEFAULT_GRID),

@@ -41,14 +41,8 @@ DEFAULT_GRID = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0)
 
 
 def accuracy(pred, truth) -> float:
-    """Fraction of exact label matches."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"length mismatch: {pred.shape} predictions vs {truth.shape} truths")
-    if pred.size == 0:
-        raise ValueError("empty input")
-    return float(np.mean(pred == truth))
+    """Fraction of exact label matches: `mae_at_k` with the identity map and k = 0."""
+    return mae_at_k(pred, truth)
 
 
 def mae_at_k(pred, truth, values: dict[int, float] | None = None, k: float = 0.0) -> float:
@@ -106,16 +100,11 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
     ma, mb = float(a.mean()), float(b.mean())
     sp2 = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / df
     if sp2 == 0.0:
-        if ma == mb:
-            return TTestResult(0.0, df, 1.0, "tie")
-        t = np.inf if ma > mb else -np.inf
-        return TTestResult(float(t), df, 0.0, "win" if ma > mb else "loss")
-    t = (ma - mb) / np.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    if p < alpha:
-        verdict = "win" if ma > mb else "loss"
+        t, p = (0.0, 1.0) if ma == mb else (np.inf if ma > mb else -np.inf, 0.0)
     else:
-        verdict = "tie"
+        t = (ma - mb) / np.sqrt(sp2 * (1.0 / na + 1.0 / nb))
+        p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    verdict = ("win" if ma > mb else "loss") if p < alpha else "tie"
     return TTestResult(float(t), df, p, verdict)
 
 
@@ -141,17 +130,29 @@ class ExperimentReport:
             values = np.array([np.inf])
         if not np.isfinite(values).all():
             raise ValueError("per-fold accuracies, mean and std must be finite")
-        if abs(self.mean - values[:-2].mean()) > 1e-12:
+        accs = values[:-2]
+        if self.folds != accs.size:
+            raise ValueError(f"folds={self.folds} disagrees with {accs.size} per-fold accuracies")
+        if not ((accs >= 0) & (accs <= 1)).all():
+            raise ValueError("per_fold_accuracy entries must lie in [0, 1]")
+        if abs(self.mean - accs.mean()) > 1e-12:
             raise ValueError("mean inconsistent with per-fold accuracies")
         if self.std < 0:
             raise ValueError("std must be nonnegative")
+        if abs(self.std - _sample_std(accs)) > 1e-12:
+            raise ValueError("std inconsistent with per-fold accuracies")
 
     @classmethod
     def from_folds(cls, algo, config, folds, seed, accs, traces=None) -> "ExperimentReport":
         accs = tuple(float(x) for x in accs)
         arr = np.asarray(accs)
-        std = float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
-        return cls(algo, dict(config), folds, seed, accs, float(arr.mean()), std, traces)
+        return cls(algo, dict(config), folds, seed, accs, float(arr.mean()), _sample_std(arr),
+                   traces)
+
+
+def _sample_std(accs: np.ndarray) -> float:
+    """The sample (ddof = 1) standard deviation; 0 for a single fold."""
+    return float(accs.std(ddof=1)) if accs.size > 1 else 0.0
 
 
 def _fold_plan(d: PLDataset, folds: int, seed: int):
@@ -228,8 +229,7 @@ def grid_search(
     gets the accuracies `cross_validate` would give it, up to the round-off
     of the lockstep ridge solve (see `training.train_grid`).
     """
-    lams = sorted(set(float(v) for v in lam_grid))
-    betas = sorted(set(float(v) for v in beta_grid))
+    lams, betas = _grid(lam_grid), _grid(beta_grid)
     parts, _ = _fold_plan(d_train, inner_folds, seed)
     accs = np.empty((len(lams), len(betas), len(parts)))
     for f, (tr, te) in enumerate(parts):
@@ -237,15 +237,15 @@ def grid_search(
             for i, (model, _, _) in enumerate(fits):
                 pred = predict(model, d_train.features[te])
                 accs[i, j, f] = accuracy(pred, d_train.truth[te])
-    entries = []
-    best = None
-    for i, lam in enumerate(lams):
-        for j, beta in enumerate(betas):
-            mean = float(accs[i, j].mean())
-            entries.append((lam, beta, mean))
-            if best is None or mean > best[2]:
-                best = (lam, beta, mean)
-    return GridSearchResult(best[0], best[1], tuple(entries))
+    entries = tuple((lam, beta, float(accs[i, j].mean()))
+                    for i, lam in enumerate(lams) for j, beta in enumerate(betas))
+    lam, beta, _ = max(entries, key=lambda e: e[2])  # the first maximum in lam-major order
+    return GridSearchResult(lam, beta, entries)
+
+
+def _grid(values) -> list[float]:
+    """A grid's distinct points as floats, ascending."""
+    return sorted(set(map(float, values)))
 
 
 def nested_cross_validate(
@@ -259,19 +259,20 @@ def nested_cross_validate(
 ) -> ExperimentReport:
     """Full evaluation protocol: per outer fold, select (lam, beta) by inner
     cross-validation on the training split, refit, and score the held-out fold."""
+    lams, betas = _grid(lam_grid), _grid(beta_grid)
     parts, fold_seeds = _fold_plan(d, folds, seed)
     accs, chosen = [], []
     for (tr, te), fseed in zip(parts, fold_seeds):
         d_tr = d.subset(tr)
-        gs = grid_search(d_tr, lam_grid, beta_grid, inner_folds, fseed, base)
+        gs = grid_search(d_tr, lams, betas, inner_folds, fseed, base)
         cfg = replace(base, lam=gs.lam, beta=gs.beta)
         model, _, _ = train(d_tr, cfg)
         accs.append(accuracy(predict(model, d.features[te]), d.truth[te]))
         chosen.append({"lam": gs.lam, "beta": gs.beta})
     config = {
         "base": asdict(base),
-        "lam_grid": [float(v) for v in sorted(set(map(float, lam_grid)))],
-        "beta_grid": [float(v) for v in sorted(set(map(float, beta_grid)))],
+        "lam_grid": lams,
+        "beta_grid": betas,
         "inner_folds": inner_folds,
         "selected": chosen,
     }
@@ -300,13 +301,8 @@ def make_blobs_dataset(
     centers[:, 0] = radius * np.cos(angles)
     centers[:, min(1, n_features - 1)] = radius * np.sin(angles)
     counts = [m // classes + (1 if c < m % classes else 0) for c in range(classes)]
-    rows = []
-    labels = []
-    for c, cnt in enumerate(counts):
-        rows.append(centers[c] + spread * rng.standard_normal((cnt, n_features)))
-        labels.extend([c] * cnt)
-    X = np.vstack(rows)
-    truth = np.array(labels, dtype=np.int64)
+    truth = np.repeat(np.arange(classes, dtype=np.int64), counts)
+    X = centers[truth] + spread * rng.standard_normal((m, n_features))
     perm = rng.permutation(m)
     X, truth = X[perm], truth[perm]
     cands = np.zeros((m, classes), dtype=np.uint8)
@@ -358,7 +354,9 @@ def report_from_json(text: str) -> ExperimentReport:
         value = payload[key]
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"report key {key!r} must be {what}")
-    if not all(map(_is_number, payload["per_fold_accuracy"])):
+    fields = {key: payload[key] for key in _REPORT_KEYS}
+    fields["per_fold_accuracy"] = tuple(fields["per_fold_accuracy"])
+    if not all(map(_is_number, fields["per_fold_accuracy"])):
         raise ValueError("report key 'per_fold_accuracy' must be a list of numbers")
     traces = None
     if "traces" in payload:
@@ -369,16 +367,7 @@ def report_from_json(text: str) -> ExperimentReport:
             )
         except (KeyError, TypeError):
             raise ValueError("report key 'traces' must be a list of trace objects") from None
-    return ExperimentReport(
-        payload["algo"],
-        payload["config"],
-        payload["folds"],
-        payload["seed"],
-        tuple(payload["per_fold_accuracy"]),
-        payload["mean"],
-        payload["std"],
-        traces,
-    )
+    return ExperimentReport(**fields, traces=traces)
 
 
 def write_labels(path, labels) -> None:

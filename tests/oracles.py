@@ -5,8 +5,9 @@ different route than the library: exhaustive grids, bisection water-filling,
 a scalar active-set enumeration and projected gradient for the anchored
 projections, an argsort round trip for the batched projection, long-run
 gradient descent, LU solves of the unreduced ridge systems, a ridge factor
-built in transposed order, a point-major grid search, quadrature, and
-full-sort neighbor search.  None of it calls into the code paths it checks.
+built in transposed order, per-class blob draws, a point-major grid search,
+quadrature, and full-sort neighbor search.  None of it calls into the code
+paths it checks.
 """
 
 import math
@@ -18,6 +19,7 @@ from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from surepl.confidence import InfeasibleSupportError
+from surepl.data import PLDataset
 from surepl.harness import GridSearchResult, cross_validate
 
 
@@ -294,6 +296,31 @@ def update_rows_argsort(Q, Yb, lam, anchors=None):
     np.put_along_axis(P, order, w, axis=1)
     P[rows, anchors] = t
     return P
+
+
+# ---------------------------------------------------------------------------
+# synthetic blobs, one class at a time
+
+
+def make_blobs_per_class(m, classes=3, n_features=2, separation=4.0, spread=1.0, seed=0):
+    """`make_blobs_dataset` as a loop over classes: one normal draw per class,
+    stacked in class order, then one shuffle of the rows."""
+    rng = np.random.default_rng(seed)
+    radius = separation / (2.0 * np.sin(np.pi / classes))
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    centers = np.zeros((classes, n_features))
+    centers[:, 0] = radius * np.cos(angles)
+    centers[:, min(1, n_features - 1)] = radius * np.sin(angles)
+    rows, labels = [], []
+    for c in range(classes):
+        cnt = m // classes + (1 if c < m % classes else 0)
+        rows.append(centers[c] + spread * rng.standard_normal((cnt, n_features)))
+        labels.extend([c] * cnt)
+    perm = rng.permutation(m)
+    X, truth = np.vstack(rows)[perm], np.array(labels, dtype=np.int64)[perm]
+    cands = np.zeros((m, classes), dtype=np.uint8)
+    cands[np.arange(m), truth] = 1
+    return PLDataset(X, cands, truth)
 
 
 # ---------------------------------------------------------------------------

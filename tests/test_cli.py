@@ -1,6 +1,8 @@
 """CLI subcommands: behavior, file formats, and byte-level determinism."""
 
+import importlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,11 +241,19 @@ class TestEntrypoints:
         assert r.returncode == 0
         assert "gen" in r.stdout and "ttest" in r.stdout
 
+    def test_console_script_target(self):
+        """The `[project.scripts]` entry that `pip install` builds names a callable."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["surepl"]
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
 
 VALID_MODEL = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
 VALID_DATA = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
 VALID_REPORT = ('{"algo": "plknn", "config": {"k": 3}, "folds": 2, "mean": 0.6, '
-                '"per_fold_accuracy": [0.5, 0.7], "seed": 0, "std": 0.1}\n')
+                '"per_fold_accuracy": [0.5, 0.7], "seed": 0, "std": 0.14142135623730948}\n')
 
 
 def _with(valid, line, text):
@@ -323,6 +333,11 @@ MALFORMED_FLAGS = [
     (["cv", "--folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     (["grid", "--inner-folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     (["predict", "--out", "."], "Is a directory"),
+    (["cv", "--folds", "2", "--traces", "--lambda-grid", "0.3"], "--traces does not apply"),
+    (["cv", "--folds", "2", "--traces", "--beta-grid", "0.3"], "--traces does not apply"),
+    (["cv", "--folds", "2", "--traces", "--algo", "plknn"], "--traces needs --algo sure"),
+    (["cv", "--folds", "2", "--algo", "plknn", "--lambda-grid", "0.3"],
+     "--lambda-grid/--beta-grid needs --algo sure"),
 ]
 
 
@@ -352,10 +367,16 @@ class TestErrorPaths:
         except SystemExit as exc:  # argparse rejects a flag value it cannot convert
             code = exc.code
         out, err = capsys.readouterr()
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and not (tmp_path / "out.json").exists()
         *usage, last = err.splitlines()
         assert all(line.startswith(("usage:", " ")) for line in usage)
         assert "error:" in last and message in last
+
+    def test_cv_flag_conflict_precedes_data(self, tmp_path, capsys):
+        """A flag cv would drop is named before the data file is opened."""
+        assert main(["cv", "--data", str(tmp_path / "missing.pld"), "--folds", "2", "--seed", "0",
+                     "--traces", "--algo", "plknn", "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr() == ("", "error: --traces needs --algo sure\n")
 
     def test_kernel_matrix_past_memory_exits_2(self, tmp_path, pl_file, capsys, monkeypatch):
         """A kernel matrix numpy cannot allocate ends in one error line, not a

@@ -1,5 +1,6 @@
 """Metrics, significance testing, cross-validation, grid search, reports."""
 
+import itertools
 import json
 
 import numpy as np
@@ -294,6 +295,10 @@ class TestReportSerialization:
         (lambda p: {**p, "per_fold_accuracy": [0.5, float("inf")]}, "finite"),
         (lambda p: {**p, "mean": 10**400}, "finite"),
         (lambda p: {**p, "per_fold_accuracy": [], "mean": 0.0}, "must not be empty"),
+        (lambda p: {**p, "folds": 10}, "folds=10 disagrees with 2"),
+        (lambda p: {**p, "per_fold_accuracy": [1.5, -0.7], "mean": 0.4,
+                    "std": 1.5556349186104046}, "per_fold_accuracy entries must lie in"),
+        (lambda p: {**p, "std": 5}, "std inconsistent"),
     ])
     def test_malformed_payload_names_key(self, edit, message):
         rep = ExperimentReport.from_folds("plknn", {"k": 5}, 2, 0, [0.5, 0.7])
@@ -344,3 +349,13 @@ class TestMakeBlobs:
         d = make_blobs_dataset(31, classes=3, seed=1)
         counts = np.bincount(d.truth, minlength=3)
         assert counts.max() - counts.min() <= 1
+
+    def test_matches_per_class_draws(self):
+        """One draw for every row gives the per-class loop's stream, in its order."""
+        sizes = itertools.product((2, 3, 7, 300, 6000), (2, 3, 10), (1, 2, 10), (0, 1, 7))
+        for m, classes, n, seed in ((m, c, n, s) for m, c, n, s in sizes if c <= m):
+            got = make_blobs_dataset(m, classes, n, seed=seed)
+            want = oracles.make_blobs_per_class(m, classes, n, seed=seed)
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.candidates, want.candidates)
+            assert np.array_equal(got.truth, want.truth)

@@ -1,0 +1,60 @@
+"""Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
+grid search, cv reports, each CLI subcommand's files and stdout); surepl comes from this
+checkout's `src/`, files go to a temporary directory.  Compare checkouts at one BLAS
+thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+CLI = [  # (argv with {file} slots, the files it writes)
+    ("gen --in {clean} --out {pl} --p 0.7 --r 2 --seed 1", "pl"),
+    ("train --data {pl} --model-out {model} --trace-out {trace}", "model trace"),
+    ("predict --model {model} --data {pl} --out {pred}", "pred"),
+    ("cv --data {pl} --folds 4 --seed 0 --traces --report {sure}", "sure"),
+    ("cv --data {pl} --algo plknn --folds 4 --seed 0 --report {knn}", "knn"),
+    ("cv --data {pl} --lambda-grid 0.05,0.3 --beta-grid 0.05,0.5 --inner-folds 3 --folds 4 "
+     "--seed 0 --report {nested}", "nested"),
+    ("grid --data {pl} --lambda-grid 0.05,0.3 --beta-grid 0.05,0.5 --inner-folds 3 --seed 0", ""),
+    ("eval --pred {pred} --truth {truth} --mae-k 1", ""),
+    ("ttest --a {sure} --b {knn}", ""),
+]
+
+
+def show(name, *parts):  # strings, bytes, and arrays with their dtype and shape
+    data = [p.encode() if isinstance(p, str) else p if isinstance(p, bytes)
+            else f"{p.dtype.str}{p.shape}".encode() + p.tobytes() for p in parts]
+    print(name, hashlib.sha256(b"".join(data)).hexdigest())
+
+
+def main():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import surepl.cli
+
+    spec = surepl.SyntheticSpec(p=0.7, r=2, seed=1)
+    clean = surepl.make_blobs_dataset(1000, classes=10, n_features=10, seed=0)
+    pl = surepl.corrupt(clean, spec)
+    show("blobs_corrupt", clean.features, clean.candidates, clean.truth, pl.candidates, pl.truth)
+    model, P, trace = surepl.train(pl, surepl.TrainConfig())
+    show("train", model.A, model.b, P, repr(trace.delta_p))
+    small = surepl.corrupt(surepl.make_blobs_dataset(300, 10, 10, seed=2), spec)
+    show("grid_search", repr(surepl.grid_search(small, (0.01, 0.1, 1), (0.01, 0.1, 1), 5, 3)))
+    for algo, params in (("sure", surepl.TrainConfig()), ("plknn", surepl.KnnConfig(k=5))):
+        report = surepl.cross_validate(small, algo, params, 5, 4, collect_traces=True)
+        show(f"cross_validate_{algo}", surepl.harness.report_to_json(report))
+    with tempfile.TemporaryDirectory() as tmp:
+        f = {n: f"{tmp}/{n}" for n in "clean pl model trace pred truth sure knn nested".split()}
+        surepl.save_dataset(clean.subset(range(120)), f["clean"])
+        surepl.harness.write_labels(f["truth"], clean.truth[:120])
+        for argv, outputs in CLI:
+            with contextlib.redirect_stdout(out := io.StringIO()):
+                code = surepl.cli.main([tok.format(**f) for tok in argv.split()])
+            show("_".join(["cli", argv.split()[0], *outputs.split()]), f"{code}\n{out.getvalue()}",
+                 *(Path(f[name]).read_bytes() for name in outputs.split()))
+
+
+if __name__ == "__main__":
+    main()
