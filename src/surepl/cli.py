@@ -44,9 +44,10 @@ def _float_list(text: str) -> list[float]:
 
 
 def _train_config(args) -> TrainConfig:
+    """The fit settings, at the (--lambda, --beta) point if the command takes one."""
+    point = {"lam": args.lam, "beta": args.beta} if "lam" in args else {}
     return TrainConfig(
-        lam=args.lam,
-        beta=args.beta,
+        **point,
         max_iter=args.max_iter,
         tol=args.tol,
         init=args.init,
@@ -54,9 +55,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _add_train_flags(sp):
+def _add_point_flags(sp):
     sp.add_argument("--lambda", dest="lam", type=float, default=0.3)
     sp.add_argument("--beta", type=float, default=0.05)
+
+
+def _add_fit_flags(sp):
     sp.add_argument("--sigma", type=float, default=None, help="bandwidth override")
     sp.add_argument("--max-iter", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-3)
@@ -180,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train on a PL dataset and save the model")
     tr.add_argument("--data", required=True)
-    _add_train_flags(tr)
+    _add_point_flags(tr)
+    _add_fit_flags(tr)
     tr.add_argument("--model-out", required=True)
     tr.add_argument("--trace-out", default=None, help="write iter,delta_p CSV")
     tr.set_defaults(func=_cmd_train)
@@ -194,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("cv", help="k-fold cross-validation")
     cv.add_argument("--data", required=True)
     cv.add_argument("--algo", choices=("sure", "plknn"), default="sure")
-    _add_train_flags(cv)
+    _add_point_flags(cv)
+    _add_fit_flags(cv)
     cv.add_argument("--k", type=int, default=5, help="plknn neighbor count")
     cv.add_argument("--lambda-grid", type=_float_list, default=None,
                     help="nested mode: per-fold inner grid search over these lambdas")
@@ -206,12 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--report", required=True)
     cv.set_defaults(func=_cmd_cv)
 
-    gr = sub.add_parser("grid", help="inner-CV grid search for lambda and beta")
+    # no abbreviations: --lambda and --beta would pass for --lambda-grid and --beta-grid
+    gr = sub.add_parser("grid", help="inner-CV grid search for lambda and beta",
+                        allow_abbrev=False)
     gr.add_argument("--data", required=True)
     gr.add_argument("--lambda-grid", type=_float_list, default=list(DEFAULT_GRID))
     gr.add_argument("--beta-grid", type=_float_list, default=list(DEFAULT_GRID))
     gr.add_argument("--inner-folds", type=int, required=True)
-    _add_train_flags(gr)
+    _add_fit_flags(gr)
     gr.add_argument("--seed", type=int, required=True)
     gr.set_defaults(func=_cmd_grid)
 

@@ -1,12 +1,14 @@
 """Closed-form ridge fits of the confidence matrix, linear and kernelized.
 
 Both fits minimize a squared loss against the confidence matrix P plus a
-ridge penalty, with an unpenalized bias row.  Eliminating the bias leaves a
-single dense linear system, symmetric positive definite once written with
-the centering matrix H = I - 1 1^T / m: (X^T H X + beta I) W = X^T H P and
-(H K H + beta I) A = H P.  Both are solved through a Cholesky factor, guarded
-against systems singular to working precision by a reciprocal 1-norm
-condition number of at least RCOND_FLOOR.
+ridge penalty, with an unpenalized bias row.  The linear fit eliminates the
+bias with the centering matrix H = I - 1 1^T / m, leaving the symmetric
+positive definite system (X^T H X + beta I) W = X^T H P.  The kernel fit
+needs no centering: it solves the bordered least-squares SVM system
+(K + beta I) A + 1 b^T = P, 1^T A = 0, through K + beta I alone (see
+`fit_kernel`).  Both are solved through a Cholesky factor, guarded against
+systems singular to working precision by a reciprocal 1-norm condition
+number of at least RCOND_FLOOR.
 
 `fit_linear` and `fit_kernel` check outside input once, at entry, and guard
 their factor with LAPACK's condition estimate (`_cholesky_with_cond`).
@@ -15,12 +17,13 @@ a `KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
 K, beta and P training gives it and checks none of them.  Its K is a
 Gaussian Gram matrix, so an a-priori bound on the condition number, which
 depends only on (m, beta), takes the place of the estimate and refuses a
-hopeless beta before any work on K.  The system is built over K, in K's own
-order, and LAPACK factors its transpose, a Fortran view, in place; for a
-symmetric K that view is the same matrix bit for bit.  So a factor needs no
-m x m array besides K, and no solve needs K: a fit's training-set scores
-are P - beta A (see `fit_kernel`).  Each solve copies P once into Fortran
-order, so a fit depends on P's values and not on its memory layout.
+hopeless beta before any work on K.  The system is K with beta added to its
+diagonal, in K's own buffer, and LAPACK factors its transpose, a Fortran
+view, in place; for a symmetric K that view is the same matrix bit for bit.
+So a factor needs no m x m array besides K, and no solve needs K: a fit's
+training-set scores are P - beta A (see `fit_kernel`).  Each solve copies P
+once into Fortran order, so a fit depends on P's values and not on its
+memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
 matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, dger
 
 from .data import FileFormatError, check_query, format_float, parse_floats, read_lines, write_lines
 from .kernel import gram_matrix, usable_sigma
@@ -151,65 +154,46 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return W, b
 
 
-def _kernel_system(K: np.ndarray, beta: float) -> np.ndarray:
-    """Overwrites the symmetric K with H K H + beta I and returns K^T 1.
+def _kernel_solve(factor, u: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) for P from the factor of K + beta I and u = (K + beta I)^(-1) 1.
 
-    H K H = K - r 1^T - 1 r^T + mean(K) 1 1^T with r = K 1 / m, built over K
-    in its own order; its transpose is a Fortran view that LAPACK factors in
-    place.
+    Z = (K + beta I)^(-1) P, b = Z^T 1 / 1^T u and A = Z - u b^T, which dger
+    writes over Z.  P is copied once into Fortran order, the layout LAPACK
+    solves in, so the solve and Z's column sums run alike for any layout.
     """
-    m = K.shape[0]
-    ksum = K.sum(axis=0)  # K^T 1 == K 1 for a symmetric K
-    r = ksum / m
-    K -= r[:, None]
-    K -= r
-    K += r.mean()
-    K.flat[:: m + 1] += beta
-    return ksum
-
-
-def _kernel_solve(factor, ksum: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) for P from the factor of H K H + beta I and K^T 1.
-
-    P is copied once into Fortran order, the layout LAPACK solves in, so its
-    column sums and the solve run alike for any input layout.
-    """
-    R = np.array(P, dtype=np.float64, order="F")
-    m = R.shape[0]
-    psum = R.sum(axis=0)
-    R -= psum / m
-    A = cho_solve(factor, R, overwrite_b=True, check_finite=False)
-    b = (psum - dgemv(1.0, A, ksum, trans=1)) / m
-    return A, b
+    Z = cho_solve(factor, np.array(P, dtype=np.float64, order="F"), overwrite_b=True,
+                  check_finite=False)
+    b = Z.sum(axis=0) / u.sum()
+    return dger(-1.0, u, b, a=Z, overwrite_a=True), b
 
 
 class KernelRidgeSolver:
     """Factors the kernel ridge system once; solve() refits for any P.
 
-    Builds and factors the system over K, so K is overwritten; a caller that
-    still needs K passes a copy.  Checks nothing: its caller gives a Gaussian
-    Gram matrix K (symmetric, C-ordered, positive semidefinite, entries in
-    [0, 1]), beta > 0 and finite P's of m rows, as training does.
-    `fit_kernel` checks outside input.
+    Adds beta to K's diagonal and factors K + beta I in K's buffer, so K is
+    overwritten; a caller that still needs K passes a copy.  Checks nothing:
+    its caller gives a Gaussian Gram matrix K (symmetric, C-ordered, positive
+    semidefinite, entries in [0, 1]), beta > 0 and finite P's of m rows, as
+    training does.  `fit_kernel` checks outside input.
 
-    For such a K every entry of H K H lies in [-2, 2] and its eigenvalues are
-    nonnegative, so M = H K H + beta I has ||M||_1 <= 2m + beta and
-    ||M^-1||_1 <= sqrt(m) ||M^-1||_2 <= sqrt(m) / beta.  Its reciprocal 1-norm
-    condition number is thus at least beta / ((2m + beta) sqrt(m)): a bound
-    that depends on (m, beta) alone, so it is deterministic and free.  A beta
-    whose bound is below RCOND_FLOOR is refused before any work on K.
+    For such a K, M = K + beta I has ||M||_1 <= m + beta and eigenvalues of at
+    least beta, so ||M^-1||_1 <= sqrt(m) ||M^-1||_2 <= sqrt(m) / beta.  Its
+    reciprocal 1-norm condition number is thus at least
+    beta / ((m + beta) sqrt(m)): a bound that depends on (m, beta) alone, so
+    it is deterministic and free.  A beta whose bound is below RCOND_FLOOR is
+    refused before any work on K.
     """
 
     def __init__(self, K: np.ndarray, beta: float):
         m = K.shape[0]
         self.beta = float(beta)
-        bound = self.beta / ((2 * m + self.beta) * math.sqrt(m))
+        bound = self.beta / ((m + self.beta) * math.sqrt(m))
         if bound < RCOND_FLOOR:
             raise SingularSystemError(
                 f"kernel ridge system matrix too ill-conditioned for beta = {beta:g} at "
                 f"m = {m}: reciprocal 1-norm condition bound {bound:.3e} < {RCOND_FLOOR:g}"
             )
-        self.ksum = _kernel_system(K, self.beta)
+        K.flat[:: m + 1] += self.beta
         try:
             self._factor = cho_factor(K.T, overwrite_a=True, check_finite=False)
         except LinAlgError:
@@ -217,6 +201,7 @@ class KernelRidgeSolver:
                 "kernel ridge system matrix not positive definite "
                 f"(reciprocal 1-norm condition bound {bound:.3e})"
             ) from None
+        self._u = cho_solve(self._factor, np.ones(m), check_finite=False)
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) for the confidence matrix P; depends on P's values only.
@@ -224,27 +209,32 @@ class KernelRidgeSolver:
         The training-set scores K A + 1 b^T of the result equal P - beta A
         (see `fit_kernel`), so no solve needs K again.
         """
-        return _kernel_solve(self._factor, self.ksum, P)
+        return _kernel_solve(self._factor, self._u, P)
 
 
 def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form minimizer of ||K A + 1 b^T - P||_F^2 + beta tr(A^T K A).
 
-    A = (H K H + beta I)^(-1) H P with H = I - 1 1^T / m,
-    b = (P^T 1 - A^T K^T 1) / m.
-
-    For symmetric K this is the solution of the stationarity condition
-    (H K + beta I) A = H P: multiplying it by 1^T gives beta 1^T A = 0, so
-    A = H A and H K A = H K H A.  The fitted training-set scores are then
-    K A + 1 b^T = P - beta A: b gives them P's column means, and the
-    condition reads H (K A - P) = -beta A.
+    (A, b) solves the bordered least-squares SVM system (Suykens and
+    Vandewalle, 1999) (K + beta I) A + 1 b^T = P, 1^T A = 0: with
+    Z = (K + beta I)^(-1) P and u = (K + beta I)^(-1) 1, b = Z^T 1 / 1^T u
+    and A = Z - u b^T.  For symmetric K the first equation reads
+    K A + 1 b^T - P = -beta A, so the gradient in A,
+    2 K (K A + 1 b^T - P + beta A), vanishes, and the gradient in b,
+    -2 beta A^T 1, vanishes by the second; for a positive semidefinite K the
+    objective is convex.  The first equation also gives the training-set
+    scores: K A + 1 b^T = P - beta A.
 
     Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
     P (finite, one row per row of K) once, then builds and factors the system
     as `KernelRidgeSolver` does, in one working copy, which first holds
     K - K^T for the symmetry check; the caller's K is left unchanged.  An
     outside K may be indefinite, so the solver's a-priori bound does not
-    hold for it: the factor is guarded by LAPACK's condition estimate.
+    hold for it: the factor is guarded by LAPACK's condition estimate, and
+    K + beta I must have a Cholesky factor.  So a K with an eigenvalue at or
+    below -beta is refused as singular, even where 1 is its only such
+    eigenvector and the bordered system is solvable (K = I - 2 1 1^T / 3
+    with beta = 0.1, say).
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -258,14 +248,15 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if asym > SYMMETRY_TOL:
         raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
     P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != K.shape[0]:
+    m = K.shape[0]
+    if P.ndim != 2 or P.shape[0] != m:
         raise ValueError("P must have one row per training instance")
     if not np.isfinite(P).all():
         raise ValueError("P must be finite")
     np.copyto(M, K)
-    ksum = _kernel_system(M, beta)
+    M.flat[:: m + 1] += beta
     factor = _cholesky_with_cond(M.T, "kernel ridge")
-    return _kernel_solve(factor, ksum, P)
+    return _kernel_solve(factor, cho_solve(factor, np.ones(m), check_finite=False), P)
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:

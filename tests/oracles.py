@@ -393,22 +393,16 @@ def solve_fit_kernel(K, P, beta):
 
 
 def kernel_ridge_factor_fortran(K, beta):
-    """Upper Cholesky factor of H K H + beta I and its reciprocal 1-norm
-    condition estimate, built in a Fortran-ordered buffer that reads K in
-    transposed order: K minus r by columns, then minus r by rows, then plus
-    mean(r), with r = K^T 1 / m.
+    """Upper Cholesky factor of K + beta I and its reciprocal 1-norm
+    condition estimate, built in a Fortran-ordered buffer from K^T plus
+    beta I.
 
-    For an exactly symmetric K this is the same matrix as a build in K's own
-    order that subtracts r by rows first, so the factor matches it bit for
-    bit.  Returns (triu(factor), rcond).
+    For an exactly symmetric K this is the same matrix as K + beta I built in
+    K's own order, so the factor matches it bit for bit.  Returns
+    (triu(factor), rcond).
     """
     m = K.shape[0]
-    r = K.sum(axis=0) / m
-    M = np.empty((m, m), order="F")
-    np.subtract(K, r, out=M)
-    M -= r[:, None]
-    M += r.mean()
-    M.flat[:: m + 1] += beta
+    M = np.asfortranarray(K.T + beta * np.eye(m))
     lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
     anorm = lange("1", M)
     factor, _ = cho_factor(M, overwrite_a=True)

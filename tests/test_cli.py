@@ -316,10 +316,12 @@ MALFORMED_FLAGS = [
     (["train", "--lambda", "nan"], "lam must be finite and nonnegative, got nan"),
     (["train", "--lambda", "inf"], "lam must be finite and nonnegative, got inf"),
     (["train", "--beta", "inf"], "beta must be finite and positive, got inf"),
-    (["train", "--beta", "1e-300"], "reciprocal 1-norm condition bound 1.976e-303 < 1e-13"),
+    (["train", "--beta", "1e-300"], "reciprocal 1-norm condition bound 3.953e-303 < 1e-13"),
     (["grid", "--inner-folds", "2", "--lambda-grid=-5,0.3"],
      "lam must be finite and nonnegative, got -5.0"),
     (["grid", "--inner-folds", "2", "--beta-grid=0,0.1"], "beta must be finite and positive, got 0.0"),
+    (["grid", "--inner-folds", "2", "--lambda", "5"], "unrecognized arguments"),
+    (["grid", "--inner-folds", "2", "--beta", "9"], "unrecognized arguments"),
     (["cv", "--folds", "2", "--lambda-grid", ""], "argument --lambda-grid"),
     (["cv", "--folds", "2", "--beta-grid", ","], "argument --beta-grid"),
     (["ttest", "--alpha", "2"], "alpha must lie strictly between 0 and 1, got 2.0"),

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from surepl import ridge
-from surepl.kernel import gram_matrix
+from surepl.kernel import gram_matrix, mean_pairwise_distance
 from surepl.ridge import (
     KernelModel,
     KernelRidgeSolver,
@@ -30,8 +30,8 @@ def random_problem(rng, m, n, l):
 
 def condition_bound(m, beta):
     """The a-priori lower bound on the reciprocal 1-norm condition number of
-    H K H + beta I for a Gaussian Gram matrix K of m rows."""
-    return beta / ((2 * m + beta) * np.sqrt(m))
+    K + beta I for a Gaussian Gram matrix K of m rows."""
+    return beta / ((m + beta) * np.sqrt(m))
 
 
 class TestFitLinear:
@@ -246,7 +246,7 @@ class TestFitKernel:
         assert condition_bound(m, 0.05) <= rcond
 
     def test_condition_bound_never_above_the_estimate(self):
-        """beta / ((2m + beta) sqrt(m)) bounds the reciprocal 1-norm condition
+        """beta / ((m + beta) sqrt(m)) bounds the reciprocal 1-norm condition
         number of a Gaussian system from below; pocon's estimate of it is no
         lower, since it underestimates ||M^-1||_1."""
         rng = np.random.default_rng(31)
@@ -258,7 +258,7 @@ class TestFitKernel:
             _, rcond = oracles.kernel_ridge_factor_fortran(K, beta)
             assert condition_bound(m, beta) <= rcond
 
-    @pytest.mark.parametrize("m, beta", [(1, 1e-300), (300, 1e-9), (4000, 5e-8)])
+    @pytest.mark.parametrize("m, beta", [(1, 1e-300), (300, 4e-10), (4000, 2e-8)])
     def test_hopeless_beta_refused_before_any_work(self, monkeypatch, m, beta):
         """A beta whose condition bound is below the floor is refused by
         name before K is read or factored."""
@@ -272,15 +272,19 @@ class TestFitKernel:
 
     def test_singular_system_names_condition(self):
         beta = 0.25
-        K = -beta * np.eye(2)  # makes K + beta I - 1 1^T K / m a rank-one matrix
+        K = -beta * np.eye(2)  # makes K + beta I the zero matrix
         with pytest.raises(SingularSystemError, match="condition estimate"):
             fit_kernel(K, np.ones((2, 2)) * 0.5, beta=beta)
 
-    def test_not_positive_definite_names_condition(self):
-        # K is symmetric with eigenvalue -5 on v = (1, -1, 0) / sqrt(2), which is
-        # orthogonal to 1, so H K H + beta I has eigenvalue beta - 5 < 0
-        v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        K = np.eye(3) - 6.0 * np.outer(v, v)
+    @pytest.mark.parametrize("u, scale", [
+        # eigenvalue -5 on (1, -1, 0) / sqrt(2), which is orthogonal to 1
+        (np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0), 6.0),
+        # eigenvalue -1 on 1 alone: the bordered system has a solution, but
+        # K + beta I has eigenvalue beta - 1 < 0 and so no Cholesky factor
+        (np.ones(3) / np.sqrt(3.0), 2.0),
+    ])
+    def test_not_positive_definite_names_condition(self, u, scale):
+        K = np.eye(3) - scale * np.outer(u, u)
         with pytest.raises(SingularSystemError, match="condition estimate"):
             fit_kernel(K, np.full((3, 2), 0.5), beta=0.1)
 
@@ -315,6 +319,22 @@ class TestFitKernel:
         A, b = KernelRidgeSolver(K.copy(), beta).solve(P)
         scale = np.abs(K) @ np.abs(A) + np.abs(b)
         assert np.all(np.abs(P - beta * A - (K @ A + b)) <= 1e-9 * scale)
+
+    def test_training_scores_hold_on_p_scale_at_small_beta(self):
+        """The identity holds to round-off of P itself at beta = 0.001, a
+        point of the default grid, although A's entries reach ~8e2 at m =
+        2000; a tolerance scaled by |K||A| + |b| (~1e5 here) would hide an
+        error far above round-off."""
+        rng = np.random.default_rng(2000)
+        m, beta = 2000, 0.001
+        X = rng.standard_normal((m, 3))
+        K = gram_matrix(X, X, sigma=mean_pairwise_distance(X))
+        Y = rng.random((m, 4)) < 0.5
+        Y[np.arange(m), rng.integers(0, 4, m)] = True
+        P = Y / Y.sum(axis=1, keepdims=True)  # the normalized candidate start
+        A, b = KernelRidgeSolver(K.copy(), beta).solve(P)
+        err = np.abs(P - beta * A - (K @ A + b)).max()
+        assert err <= 1e-9 * max(1.0, np.abs(P).max())
 
     def test_factor_holds_one_extra_matrix(self):
         """The solver builds and factors its system in K's buffer, so it
