@@ -43,28 +43,29 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+# the TrainConfig fields that point and fit flags set, each flag's dest
+_TRAIN_FIELDS = ("lam", "beta", "sigma_override", "max_iter", "tol", "init")
+
+
 def _train_config(args) -> TrainConfig:
-    """The fit settings, at the (--lambda, --beta) point if the command takes one."""
-    point = {"lam": args.lam, "beta": args.beta} if "lam" in args else {}
-    return TrainConfig(
-        **point,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        init=args.init,
-        sigma_override=args.sigma,
-    )
+    """The fit settings given on the command line; TrainConfig's defaults fill the rest."""
+    return TrainConfig(**{field: getattr(args, field) for field in _TRAIN_FIELDS
+                          if getattr(args, field, None) is not None})
 
 
+# flags default to None, so a flag given can be told from one left out (see _cv_mode);
+# TrainConfig supplies the defaults
 def _add_point_flags(sp):
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    sp.add_argument("--beta", type=float, default=0.05)
+    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--beta", type=float, default=None)
 
 
 def _add_fit_flags(sp):
-    sp.add_argument("--sigma", type=float, default=None, help="bandwidth override")
-    sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--init", choices=("normalized", "literal"), default="normalized")
+    sp.add_argument("--sigma", dest="sigma_override", type=float, default=None,
+                    help="bandwidth override")
+    sp.add_argument("--max-iter", type=int, default=None)
+    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--init", choices=("normalized", "literal"), default=None)
 
 
 def _cmd_gen(args) -> int:
@@ -97,30 +98,55 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_cv(args) -> int:
+# cv runs in one of three modes; each mode-specific flag names the modes that read it
+_CV_MODE_FLAGS = {"sure": "--algo sure", "plknn": "--algo plknn",
+                  "nested": "--lambda-grid/--beta-grid"}
+_CV_OWNERS = [  # (dest, flag, modes)
+    ("lambda_grid", "--lambda-grid/--beta-grid", ("sure", "nested")),
+    ("beta_grid", "--lambda-grid/--beta-grid", ("sure", "nested")),
+    ("traces", "--traces", ("sure",)),
+    ("lam", "--lambda", ("sure",)),
+    ("beta", "--beta", ("sure",)),
+    ("sigma_override", "--sigma", ("sure", "nested")),
+    ("max_iter", "--max-iter", ("sure", "nested")),
+    ("tol", "--tol", ("sure", "nested")),
+    ("init", "--init", ("sure", "nested")),
+    ("k", "--k", ("plknn",)),
+    ("inner_folds", "--inner-folds", ("nested",)),
+]
+
+
+def _cv_mode(args) -> str:
+    """The mode cv's flags ask for; a flag that mode would not read is refused."""
     nested = args.lambda_grid is not None or args.beta_grid is not None
-    if args.algo == "plknn" and (nested or args.traces):
-        flag = "--lambda-grid/--beta-grid" if nested else "--traces"
-        raise ValueError(f"{flag} needs --algo sure")
-    if nested and args.traces:
-        raise ValueError("--traces does not apply to nested cv (--lambda-grid/--beta-grid)")
+    mode = "plknn" if args.algo == "plknn" else "nested" if nested else "sure"
+    for dest, flag, modes in _CV_OWNERS:
+        if getattr(args, dest) not in (None, False) and mode not in modes:
+            if mode == "nested":
+                raise ValueError(f"{flag} does not apply to nested cv (--lambda-grid/--beta-grid)")
+            raise ValueError(f"{flag} needs {_CV_MODE_FLAGS[modes[0]]}")
+    return mode
+
+
+def _cmd_cv(args) -> int:
+    mode = _cv_mode(args)  # before the data is read
     d = load_dataset(args.data)
-    if args.algo == "sure":
-        if nested:
-            report = nested_cross_validate(
-                d,
-                args.lambda_grid or list(DEFAULT_GRID),
-                args.beta_grid or list(DEFAULT_GRID),
-                folds=args.folds,
-                inner_folds=args.inner_folds,
-                seed=args.seed,
-                base=_train_config(args),
-            )
-        else:
-            report = cross_validate(d, "sure", _train_config(args), args.folds, args.seed,
-                                    collect_traces=args.traces)
+    if mode == "nested":
+        report = nested_cross_validate(
+            d,
+            args.lambda_grid or list(DEFAULT_GRID),
+            args.beta_grid or list(DEFAULT_GRID),
+            folds=args.folds,
+            inner_folds=5 if args.inner_folds is None else args.inner_folds,
+            seed=args.seed,
+            base=_train_config(args),
+        )
+    elif mode == "sure":
+        report = cross_validate(d, "sure", _train_config(args), args.folds, args.seed,
+                                collect_traces=args.traces)
     else:
-        report = cross_validate(d, "plknn", KnnConfig(k=args.k), args.folds, args.seed)
+        knn = KnnConfig() if args.k is None else KnnConfig(k=args.k)
+        report = cross_validate(d, "plknn", knn, args.folds, args.seed)
     write_lines(args.report, report_to_json(report).splitlines())
     return 0
 
@@ -201,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--algo", choices=("sure", "plknn"), default="sure")
     _add_point_flags(cv)
     _add_fit_flags(cv)
-    cv.add_argument("--k", type=int, default=5, help="plknn neighbor count")
+    cv.add_argument("--k", type=int, default=None, help="plknn neighbor count")
     cv.add_argument("--lambda-grid", type=_float_list, default=None,
                     help="nested mode: per-fold inner grid search over these lambdas")
     cv.add_argument("--beta-grid", type=_float_list, default=None)
-    cv.add_argument("--inner-folds", type=int, default=5)
+    cv.add_argument("--inner-folds", type=int, default=None)
     cv.add_argument("--folds", type=int, required=True)
     cv.add_argument("--seed", type=int, required=True)
     cv.add_argument("--traces", action="store_true", help="keep per-fold convergence traces")

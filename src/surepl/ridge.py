@@ -6,24 +6,23 @@ bias with the centering matrix H = I - 1 1^T / m, leaving the symmetric
 positive definite system (X^T H X + beta I) W = X^T H P.  The kernel fit
 needs no centering: it solves the bordered least-squares SVM system
 (K + beta I) A + 1 b^T = P, 1^T A = 0, through K + beta I alone (see
-`fit_kernel`).  Both are solved through a Cholesky factor, guarded against
-systems singular to working precision by a reciprocal 1-norm condition
-number of at least RCOND_FLOOR.
+`fit_kernel`).  Every system is held in LAPACK's rectangular full packed
+(RFP) storage, one triangle of m (m + 1) / 2 entries, factored by `dpftrf`
+and solved by `dpftrs`, and is guarded against singularity to working
+precision by a reciprocal 1-norm condition number of at least RCOND_FLOOR.
 
 `fit_linear` and `fit_kernel` check outside input once, at entry, and guard
 their factor with LAPACK's condition estimate (`_cholesky_with_cond`).
 Training factors the kernel system, constant across its iterations, once in
 a `KernelRidgeSolver` and re-solves it for each new P; that solver trusts the
-K, beta and P training gives it and checks none of them.  Its K is a
-Gaussian Gram matrix, so an a-priori bound on the condition number, which
-depends only on (m, beta), takes the place of the estimate and refuses a
-hopeless beta before any work on K.  The system is K with beta added to its
-diagonal, in K's own buffer, and LAPACK factors its transpose, a Fortran
-view, in place; for a symmetric K that view is the same matrix bit for bit.
-So a factor needs no m x m array besides K, and no solve needs K: a fit's
-training-set scores are P - beta A (see `fit_kernel`).  Each solve copies P
-once into Fortran order, so a fit depends on P's values and not on its
-memory layout.
+packed Gram matrix, beta and P training gives it and checks none of them.
+Its K is a Gaussian Gram matrix, so an a-priori bound on the condition
+number, which depends only on (m, beta), takes the place of the estimate and
+refuses a hopeless beta before any work on K.  The solver adds beta to the
+diagonal of the packed array it is given and factors it in place, so a factor
+needs no array besides that one, and no solve needs K: a fit's training-set
+scores are P - beta A (see `fit_kernel`).  Each solve copies P once into
+Fortran order, so a fit depends on P's values and not on its memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
 matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
@@ -39,11 +38,11 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dgemm, dger
+from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
 from .data import FileFormatError, check_query, format_float, parse_floats, read_lines, write_lines
-from .kernel import gram_matrix, usable_sigma
+from .kernel import RFP, gram_matrix, packed_diagonal, usable_sigma
 
 __all__ = [
     "KernelModel",
@@ -101,24 +100,35 @@ class KernelModel:
         object.__setattr__(self, "sigma", float(self.sigma))
 
 
-def _cholesky_with_cond(M: np.ndarray, what: str):
-    """Cholesky factor of the symmetric matrix M (overwritten).
+def _packed_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M^(-1) B from M's packed Cholesky factor; B (m x r) is overwritten
+    if it is Fortran-ordered."""
+    return dpftrs(B.shape[0], factor, B, overwrite_b=True, **RFP)[0]
 
-    The boundary fits' guard: `lange` and LAPACK's `pocon` estimate M's
-    reciprocal 1-norm condition number, which must reach RCOND_FLOOR.  A
-    matrix that is not positive definite has no Cholesky factor; it is
-    reported like a singular one, with a condition estimate of zero.  M is
-    not scanned for infs or NaNs: the fits build it from input checked at
-    their entry.
+
+def _cholesky_with_cond(G: np.ndarray, beta: float, what: str) -> np.ndarray:
+    """Packed Cholesky factor of M = G + beta I, for a symmetric G.
+
+    The boundary fits' guard: M is built in one Fortran-ordered working copy,
+    where `lange` takes its 1-norm, and is packed from its lower triangle by
+    `dtrttf`; the copy is then dropped, and `dpftrf` factors the packed array
+    in place.  LAPACK's `ppcon` estimates the reciprocal 1-norm condition
+    number from the factor in standard packed storage, and it must reach
+    RCOND_FLOOR.  A matrix that is not positive definite has no Cholesky
+    factor; it is reported like a singular one, with a condition estimate of
+    zero.  M is not scanned for infs or NaNs: the fits build G from input
+    checked at their entry.
     """
-    lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
-    anorm = lange("1", M)  # reads M in place, with no m x m temporary
-    try:
-        factor = cho_factor(M, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        rcond, info = 0.0, 0
-    else:
-        rcond, info = pocon(factor[0], anorm)  # upper factor, as cho_factor returns by default
+    M = np.array(G, dtype=np.float64, order="F")
+    m = M.shape[0]
+    M.flat[:: m + 1] += beta
+    anorm = dlange("1", M)
+    R = dtrttf(M, **RFP)[0]
+    del M
+    factor, info = dpftrf(m, R, overwrite_a=True, **RFP)
+    rcond = 0.0
+    if info == 0:
+        rcond, info = dppcon(m, dtfttp(m, factor, **RFP)[0], anorm, lower=True)
     if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystemError(
             f"singular {what} system matrix (reciprocal 1-norm condition estimate {rcond:.3e})"
@@ -140,39 +150,44 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("X and P must be finite")
     if not 0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    m, n = X.shape
+    m = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         xsum = X.sum(axis=0)
         psum = P.sum(axis=0)
-        M = X.T @ X + beta * np.eye(n) - np.outer(xsum, xsum) / m
+        G = X.T @ X - np.outer(xsum, xsum) / m
         rhs = X.T @ P - np.outer(xsum, psum) / m
-    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("X and P overflow the linear ridge system: its entries exceed float64")
-    factor = _cholesky_with_cond(M, "linear ridge")
-    W = cho_solve(factor, rhs)
+    factor = _cholesky_with_cond(G, beta, "linear ridge")
+    W = _packed_solve(factor, rhs)
     b = (psum - W.T @ xsum) / m
     return W, b
 
 
-def _kernel_solve(factor, u: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) for P from the factor of K + beta I and u = (K + beta I)^(-1) 1.
+def _kernel_solve(factor: np.ndarray, u: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) for P from the packed factor of K + beta I and u = (K + beta I)^(-1) 1.
 
     Z = (K + beta I)^(-1) P, b = Z^T 1 / 1^T u and A = Z - u b^T, which dger
     writes over Z.  P is copied once into Fortran order, the layout LAPACK
     solves in, so the solve and Z's column sums run alike for any layout.
     """
-    Z = cho_solve(factor, np.array(P, dtype=np.float64, order="F"), overwrite_b=True,
-                  check_finite=False)
+    Z = _packed_solve(factor, np.array(P, dtype=np.float64, order="F"))
     b = Z.sum(axis=0) / u.sum()
     return dger(-1.0, u, b, a=Z, overwrite_a=True), b
+
+
+def _ones_solve(factor: np.ndarray, m: int) -> np.ndarray:
+    """u = (K + beta I)^(-1) 1 from the packed factor."""
+    return _packed_solve(factor, np.ones((m, 1), order="F"))[:, 0]
 
 
 class KernelRidgeSolver:
     """Factors the kernel ridge system once; solve() refits for any P.
 
-    Adds beta to K's diagonal and factors K + beta I in K's buffer, so K is
-    overwritten; a caller that still needs K passes a copy.  Checks nothing:
-    its caller gives a Gaussian Gram matrix K (symmetric, C-ordered, positive
+    Takes K in RFP storage (see `kernel.packed_gram`), reads m from its size,
+    adds beta to its diagonal and factors K + beta I in place, so the packed
+    array is overwritten; a caller that still needs it passes a copy.  Checks
+    nothing: its caller gives a Gaussian Gram matrix (symmetric, positive
     semidefinite, entries in [0, 1]), beta > 0 and finite P's of m rows, as
     training does.  `fit_kernel` checks outside input.
 
@@ -184,8 +199,9 @@ class KernelRidgeSolver:
     refused before any work on K.
     """
 
-    def __init__(self, K: np.ndarray, beta: float):
-        m = K.shape[0]
+    def __init__(self, K_packed: np.ndarray, beta: float):
+        diagonal = packed_diagonal(K_packed)
+        m = sum(d.size for d in diagonal)  # the order of K
         self.beta = float(beta)
         bound = self.beta / ((m + self.beta) * math.sqrt(m))
         if bound < RCOND_FLOOR:
@@ -193,15 +209,15 @@ class KernelRidgeSolver:
                 f"kernel ridge system matrix too ill-conditioned for beta = {beta:g} at "
                 f"m = {m}: reciprocal 1-norm condition bound {bound:.3e} < {RCOND_FLOOR:g}"
             )
-        K.flat[:: m + 1] += self.beta
-        try:
-            self._factor = cho_factor(K.T, overwrite_a=True, check_finite=False)
-        except LinAlgError:
+        for d in diagonal:
+            d += self.beta
+        self._factor, info = dpftrf(m, K_packed, overwrite_a=True, **RFP)
+        if info != 0:
             raise SingularSystemError(
                 "kernel ridge system matrix not positive definite "
                 f"(reciprocal 1-norm condition bound {bound:.3e})"
-            ) from None
-        self._u = cho_solve(self._factor, np.ones(m), check_finite=False)
+            )
+        self._u = _ones_solve(self._factor, m)
 
     def solve(self, P) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) for the confidence matrix P; depends on P's values only.
@@ -226,15 +242,15 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     scores: K A + 1 b^T = P - beta A.
 
     Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
-    P (finite, one row per row of K) once, then builds and factors the system
-    as `KernelRidgeSolver` does, in one working copy, which first holds
-    K - K^T for the symmetry check; the caller's K is left unchanged.  An
-    outside K may be indefinite, so the solver's a-priori bound does not
-    hold for it: the factor is guarded by LAPACK's condition estimate, and
-    K + beta I must have a Cholesky factor.  So a K with an eigenvalue at or
-    below -beta is refused as singular, even where 1 is its only such
-    eigenvector and the bordered system is solvable (K = I - 2 1 1^T / 3
-    with beta = 0.1, say).
+    P (finite, one row per row of K) once, then factors K + beta I in packed
+    storage from its lower triangle and solves as `KernelRidgeSolver` does;
+    for a K that `packed_gram` could have built, the fit has the solver's
+    bits.  The caller's K is left unchanged.  An outside K may be indefinite,
+    so the solver's a-priori bound does not hold for it: the factor is
+    guarded by LAPACK's condition estimate, and K + beta I must have a
+    Cholesky factor.  So a K with an eigenvalue at or below -beta is refused
+    as singular, even where 1 is its only such eigenvector and the bordered
+    system is solvable (K = I - 2 1 1^T / 3 with beta = 0.1, say).
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -243,8 +259,9 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("K must be finite")
     if not 0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    M = np.subtract(K, K.T)
-    asym = float(np.abs(M, out=M).max())
+    D = np.subtract(K, K.T)
+    asym = float(np.abs(D, out=D).max())
+    del D  # freed before the factor's working copy is made: one m x m temporary at a time
     if asym > SYMMETRY_TOL:
         raise ValueError(f"kernel matrix asymmetric: max |K - K^T| = {asym:.3e}")
     P = np.asarray(P, dtype=np.float64)
@@ -253,10 +270,8 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("P must have one row per training instance")
     if not np.isfinite(P).all():
         raise ValueError("P must be finite")
-    np.copyto(M, K)
-    M.flat[:: m + 1] += beta
-    factor = _cholesky_with_cond(M.T, "kernel ridge")
-    return _kernel_solve(factor, cho_solve(factor, np.ones(m), check_finite=False), P)
+    factor = _cholesky_with_cond(K, beta, "kernel ridge")
+    return _kernel_solve(factor, _ones_solve(factor, m), P)
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:

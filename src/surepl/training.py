@@ -8,7 +8,8 @@ stops once the Frobenius change of P drops to the tolerance or the iteration
 budget runs out.
 
 `train_grid` is the one place that sets training up: it takes the bandwidth
-and the Gram matrix K once, factors the ridge system once per beta, and runs
+and the Gram matrix K once, in packed storage (`kernel.packed_gram`), so no
+m x m array is ever held; it factors the ridge system once per beta, and runs
 every lambda of that beta in lockstep through `_alternate`.  `train` is its
 single-point case and grid search calls it once per fold.  The confidence
 matrices of the lambdas still running live in one m x k x l array; memory
@@ -24,7 +25,7 @@ from scipy.linalg.blas import dnrm2
 
 from .confidence import _update_rows
 from .data import PLDataset
-from .kernel import gram_matrix, mean_pairwise_distance, usable_sigma
+from .kernel import mean_pairwise_distance, packed_gram, usable_sigma
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
@@ -137,10 +138,10 @@ def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]
     trace) for each, indexed [beta][lam] in the order given.
 
     base supplies every setting but lam and beta.  Every point is checked as
-    a TrainConfig before any work is done.  The bandwidth and K are taken
-    once, the ridge system is factored once per beta, and that beta's lambdas
-    run in lockstep on its factor (see `_alternate`).  Deterministic given
-    the dataset and the arguments.
+    a TrainConfig before any work is done.  The bandwidth and the packed K
+    are taken once, the ridge system is factored once per beta, and that
+    beta's lambdas run in lockstep on its factor (see `_alternate`).
+    Deterministic given the dataset and the arguments.
     """
     if not [replace(base, lam=lam, beta=beta) for beta in betas for lam in lams]:
         raise ValueError("grids must be nonempty")
@@ -149,8 +150,8 @@ def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]
         sigma = float(base.sigma_override)
     else:  # one instance has no pairwise distances; its 1x1 Gram matrix is [[1]] for any sigma
         sigma = 1.0 if d.m == 1 else mean_pairwise_distance(X)
-    K = gram_matrix(X, X, sigma)
-    # solvers factor over the K they get: an unnamed copy, and K itself for the last beta
+    K = packed_gram(X, sigma)
+    # solvers factor over the packed K they get: an unnamed copy, and K itself for the last beta
     return [[(KernelModel(X, A, b, sigma), P, trace)
              for A, b, P, trace in _alternate(
                  KernelRidgeSolver(K.copy() if i < len(betas) - 1 else K, beta), d, lams, base)]

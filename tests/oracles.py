@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg.lapack import dpftrf, dtrttf
 from scipy.spatial.distance import cdist
 
 from surepl.confidence import InfeasibleSupportError
@@ -392,23 +393,31 @@ def solve_fit_kernel(K, P, beta):
     return A, (P - K @ A).mean(axis=0)
 
 
-def kernel_ridge_factor_fortran(K, beta):
-    """Upper Cholesky factor of K + beta I and its reciprocal 1-norm
-    condition estimate, built in a Fortran-ordered buffer from K^T plus
-    beta I.
+def pack(K):
+    """A symmetric matrix in LAPACK's rectangular full packed storage
+    (TRANSR = 'N', UPLO = 'L'), packed from its lower triangle by dtrttf."""
+    R, info = dtrttf(np.asfortranarray(K), transr="N", uplo="L")
+    assert info == 0
+    return R
 
-    For an exactly symmetric K this is the same matrix as K + beta I built in
-    K's own order, so the factor matches it bit for bit.  Returns
-    (triu(factor), rcond).
+
+def kernel_ridge_factor_packed(K, beta):
+    """Packed Cholesky factor of K + beta I, by LAPACK's dpftrf on
+    dtrttf(K + beta I), and the system's reciprocal 1-norm condition
+    estimate, by pocon on a full-storage potrf factor.
+
+    Returns (factor, rcond).
     """
     m = K.shape[0]
-    M = np.asfortranarray(K.T + beta * np.eye(m))
+    M = np.asfortranarray(K + beta * np.eye(m))
+    factor, info = dpftrf(m, pack(M), transr="N", uplo="L")
+    assert info == 0
     lange, pocon = get_lapack_funcs(("lange", "pocon"), (M,))
     anorm = lange("1", M)
-    factor, _ = cho_factor(M, overwrite_a=True)
-    rcond, info = pocon(factor, anorm)
+    U, _ = cho_factor(M, overwrite_a=True)
+    rcond, info = pocon(U, anorm)
     assert info == 0
-    return np.triu(factor), float(rcond)
+    return factor, float(rcond)
 
 
 def gd_fit_linear(X, P, beta, max_steps=1_000_000):

@@ -340,6 +340,12 @@ MALFORMED_FLAGS = [
     (["cv", "--folds", "2", "--traces", "--algo", "plknn"], "--traces needs --algo sure"),
     (["cv", "--folds", "2", "--algo", "plknn", "--lambda-grid", "0.3"],
      "--lambda-grid/--beta-grid needs --algo sure"),
+    (["cv", "--folds", "2", "--algo", "plknn", "--lambda", "5"], "--lambda needs --algo sure"),
+    (["cv", "--folds", "2", "--algo", "sure", "--k", "3"], "--k needs --algo plknn"),
+    (["cv", "--folds", "2", "--inner-folds", "4"],
+     "--inner-folds needs --lambda-grid/--beta-grid"),
+    (["cv", "--folds", "2", "--lambda-grid", "0.1,0.3", "--lambda", "5"],
+     "--lambda does not apply to nested cv"),
 ]
 
 
@@ -383,10 +389,10 @@ class TestErrorPaths:
     def test_kernel_matrix_past_memory_exits_2(self, tmp_path, pl_file, capsys, monkeypatch):
         """A kernel matrix numpy cannot allocate ends in one error line, not a
         traceback; the allocation fails by monkeypatch, so nothing large is made."""
-        def no_memory(X_rows, X_cols, sigma):
+        def no_memory(X, sigma):
             raise MemoryError("Unable to allocate 119. GiB for an array with shape (4e5, 4e5)")
 
-        monkeypatch.setattr(training, "gram_matrix", no_memory)
+        monkeypatch.setattr(training, "packed_gram", no_memory)
         code = main(["train", "--data", str(pl_file), "--model-out", str(tmp_path / "m.model")])
         assert code == 2 and not (tmp_path / "m.model").exists()
         assert capsys.readouterr() == ("", "error: Unable to allocate 119. GiB for an array with "

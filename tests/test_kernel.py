@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrttf
 from scipy.spatial.distance import cdist
 
-from surepl.kernel import gram_matrix, mean_pairwise_distance
+from surepl.kernel import PACK_WIDTH, gram_matrix, mean_pairwise_distance, packed_gram
 
 
 class TestMeanPairwiseDistance:
@@ -111,3 +112,35 @@ class TestGramMatrix:
         -inf, silently, and exp makes it 0."""
         X = np.arange(6.0).reshape(3, 2)
         assert np.array_equal(gram_matrix(X, X, sigma=1e-160), np.eye(3))
+
+
+class TestPackedGram:
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 65, 513, 514])
+    def test_matches_packed_full_matrix(self, m):
+        """Built in column blocks straight into RFP storage, each entry has
+        the bits that dtrttf packs from the full Gram matrix, for odd and
+        even m and for m below, at and past one block."""
+        X = np.random.default_rng(m).standard_normal((m, 7))
+        R = packed_gram(X, 2.3)
+        assert R.shape == (m * (m + 1) // 2,)
+        assert np.array_equal(R, dtrttf(gram_matrix(X, X, 2.3), transr="N", uplo="L")[0])
+
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_overflowing_exponent_packs_the_identity(self, m):
+        """With 2 sigma^2 subnormal every off-diagonal entry is exactly 0, so
+        the packed array is the packed identity."""
+        X = np.random.default_rng(m).standard_normal((m, 3))
+        R = packed_gram(X, 1e-160)
+        assert np.array_equal(R, dtrttf(np.eye(m), transr="N", uplo="L")[0])
+        assert np.count_nonzero(R) == m
+
+    def test_holds_the_packed_array_and_one_block(self):
+        """Besides the packed array, the build holds O(m PACK_WIDTH) tiles."""
+        X = np.random.default_rng(5).standard_normal((1000, 4))
+        tracemalloc.start()
+        try:
+            R = packed_gram(X, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.nbytes + 3 * 8 * 1000 * PACK_WIDTH

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from surepl import ridge
-from surepl.kernel import gram_matrix, mean_pairwise_distance
+from surepl.kernel import gram_matrix, mean_pairwise_distance, packed_gram
 from surepl.ridge import (
     KernelModel,
     KernelRidgeSolver,
@@ -231,8 +231,8 @@ class TestFitKernel:
 
     @pytest.mark.parametrize("m", [1, 2, 513, 1025])
     def test_factor_matches_transposed_order_build(self, m):
-        """Built in K's own order, the factor is bit-identical to the
-        transposed-order build for a symmetric K.
+        """Built from the packed Gram matrix with beta added in place, the
+        factor is bit-identical to LAPACK's dpftrf of dtrttf(K + beta I).
 
         The solver is guarded by the a-priori condition bound, which depends
         on (m, beta) alone, and not by LAPACK's pocon estimate of the oracle;
@@ -240,9 +240,9 @@ class TestFitKernel:
         """
         X = np.random.default_rng(m).standard_normal((m, 5))
         K = gram_matrix(X, X, sigma=2.5)
-        solver = KernelRidgeSolver(K.copy(), 0.05)
-        U, rcond = oracles.kernel_ridge_factor_fortran(K, 0.05)
-        assert np.array_equal(np.triu(solver._factor[0]), U)
+        solver = KernelRidgeSolver(packed_gram(X, 2.5), 0.05)
+        factor, rcond = oracles.kernel_ridge_factor_packed(K, 0.05)
+        assert np.array_equal(solver._factor, factor)
         assert condition_bound(m, 0.05) <= rcond
 
     def test_condition_bound_never_above_the_estimate(self):
@@ -255,18 +255,19 @@ class TestFitKernel:
             X = rng.standard_normal((m, int(rng.integers(1, 7))))
             K = gram_matrix(X, X, sigma=float(rng.uniform(0.3, 3.0)))
             beta = float(10 ** rng.uniform(-9, 1))
-            _, rcond = oracles.kernel_ridge_factor_fortran(K, beta)
+            _, rcond = oracles.kernel_ridge_factor_packed(K, beta)
             assert condition_bound(m, beta) <= rcond
 
     @pytest.mark.parametrize("m, beta", [(1, 1e-300), (300, 4e-10), (4000, 2e-8)])
     def test_hopeless_beta_refused_before_any_work(self, monkeypatch, m, beta):
         """A beta whose condition bound is below the floor is refused by
-        name before K is read or factored."""
+        name before the packed K is read or factored."""
         def no_factor(*args, **kwargs):
             raise AssertionError("factored a system the bound refuses")
 
-        monkeypatch.setattr(ridge, "cho_factor", no_factor)
-        K = np.broadcast_to(np.nan, (m, m))  # read-only, and any read of it shows
+        monkeypatch.setattr(ridge, "dpftrf", no_factor)
+        # read-only, and any read of it shows
+        K = np.broadcast_to(np.nan, (m * (m + 1) // 2,))
         with pytest.raises(SingularSystemError, match=r"condition bound \d\.\d{3}e-\d+ < 1e-13"):
             KernelRidgeSolver(K, beta)
 
@@ -316,7 +317,7 @@ class TestFitKernel:
         X = rng.standard_normal((m, 3))
         K = gram_matrix(X, X, sigma=1.1)
         P = rng.random((m, 4))
-        A, b = KernelRidgeSolver(K.copy(), beta).solve(P)
+        A, b = KernelRidgeSolver(oracles.pack(K), beta).solve(P)
         scale = np.abs(K) @ np.abs(A) + np.abs(b)
         assert np.all(np.abs(P - beta * A - (K @ A + b)) <= 1e-9 * scale)
 
@@ -332,15 +333,15 @@ class TestFitKernel:
         Y = rng.random((m, 4)) < 0.5
         Y[np.arange(m), rng.integers(0, 4, m)] = True
         P = Y / Y.sum(axis=1, keepdims=True)  # the normalized candidate start
-        A, b = KernelRidgeSolver(K.copy(), beta).solve(P)
+        A, b = KernelRidgeSolver(oracles.pack(K), beta).solve(P)
         err = np.abs(P - beta * A - (K @ A + b)).max()
         assert err <= 1e-9 * max(1.0, np.abs(P).max())
 
     def test_factor_holds_one_extra_matrix(self):
-        """The solver builds and factors its system in K's buffer, so it
-        allocates no m x m array."""
+        """The solver builds and factors its system in the packed array it is
+        given, so it allocates no array of that size."""
         X = np.random.default_rng(12).standard_normal((600, 5))
-        K = gram_matrix(X, X, sigma=2.0)
+        K = packed_gram(X, 2.0)
         tracemalloc.start()
         try:
             KernelRidgeSolver(K, 0.1)
@@ -353,7 +354,7 @@ class TestFitKernel:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((10, 2))
         K = gram_matrix(X, X, sigma=1.0)
-        solver = KernelRidgeSolver(K.copy(), beta=0.3)
+        solver = KernelRidgeSolver(oracles.pack(K), beta=0.3)
         for _ in range(3):
             P = rng.random((10, 3))
             A1, b1 = solver.solve(P)
@@ -366,7 +367,7 @@ class TestFitKernel:
         differently."""
         rng = np.random.default_rng(21)
         X = rng.standard_normal((300, 3))
-        solver = KernelRidgeSolver(gram_matrix(X, X, sigma=1.3), beta=0.1)
+        solver = KernelRidgeSolver(packed_gram(X, 1.3), beta=0.1)
         P = rng.random((300, 5)) / 3.0
         A_c, b_c = solver.solve(np.ascontiguousarray(P))
         A_f, b_f = solver.solve(np.asfortranarray(P))

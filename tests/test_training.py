@@ -72,10 +72,20 @@ class TestLockstep:
 
 class TestTrain:
     def test_holds_one_kernel_matrix(self):
-        """The ridge factor is built in K's own buffer: train holds one m x m array."""
+        """K is built and factored in one packed array: train holds less than
+        one m x m array."""
         d = noisy_blobs_600()
         peak = peak_traced_bytes(train, d, TrainConfig(max_iter=3))
         assert peak < 1.5 * 8 * d.m**2
+
+    @pytest.mark.parametrize("m", [600, 601])
+    def test_holds_half_a_kernel_matrix(self, m):
+        """The packed K, m (m + 1) / 2 entries, is training's one large array:
+        no m x m array is built, for even and odd m."""
+        clean = make_blobs_dataset(m, classes=10, n_features=10, seed=1)
+        d = corrupt(clean, SyntheticSpec(p=0.7, r=2, seed=1))
+        peak = peak_traced_bytes(train, d, TrainConfig())
+        assert peak < 0.75 * 8 * m**2
 
     def test_supervised_lambda_zero_fixed_point(self):
         d = supervised_blobs()
