@@ -17,8 +17,8 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"k must be at least 1 and an integer, got {self.k}")
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:

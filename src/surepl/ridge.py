@@ -184,7 +184,7 @@ def _ones_solve(factor: np.ndarray, m: int) -> np.ndarray:
 class KernelRidgeSolver:
     """Factors the kernel ridge system once; solve() refits for any P.
 
-    Takes K in RFP storage (see `kernel.packed_gram`), reads m from its size,
+    Takes the packed K that `kernel.packed_gram` returns, reads m from its size,
     adds beta to its diagonal and factors K + beta I in place, so the packed
     array is overwritten; a caller that still needs it passes a copy.  Checks
     nothing: its caller gives a Gaussian Gram matrix (symmetric, positive
@@ -244,7 +244,7 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Checks K (square, finite, symmetric to SYMMETRY_TOL), 0 < beta < inf and
     P (finite, one row per row of K) once, then factors K + beta I in packed
     storage from its lower triangle and solves as `KernelRidgeSolver` does;
-    for a K that `packed_gram` could have built, the fit has the solver's
+    for the unpacked K of `kernel.packed_gram`, the fit has the solver's
     bits.  The caller's K is left unchanged.  An outside K may be indefinite,
     so the solver's a-priori bound does not hold for it: the factor is
     guarded by LAPACK's condition estimate, and K + beta I must have a

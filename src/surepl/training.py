@@ -7,13 +7,14 @@ P - beta A (see `ridge.fit_kernel`), so the loop never reads K.  The loop
 stops once the Frobenius change of P drops to the tolerance or the iteration
 budget runs out.
 
-`train_grid` is the one place that sets training up: it takes the bandwidth
-and the Gram matrix K once, in packed storage (`kernel.packed_gram`), so no
-m x m array is ever held; it factors the ridge system once per beta, and runs
-every lambda of that beta in lockstep through `_alternate`.  `train` is its
-single-point case and grid search calls it once per fold.  The confidence
-matrices of the lambdas still running live in one m x k x l array; memory
-layout is left to the ridge solve, whose fit depends on values only.
+`train_grid` is the one place that sets training up: one pass over the
+pairwise distances (`kernel.packed_gram`) gives the bandwidth and the Gram
+matrix K, in packed storage, so no m x m array is ever held; it factors the
+ridge system once per beta, and runs every lambda of that beta in lockstep
+through `_alternate`.  `train` is its single-point case and grid search calls
+it once per fold.  The confidence matrices of the lambdas still running live
+in one m x k x l array; memory layout is left to the ridge solve, whose fit
+depends on values only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.linalg.blas import dnrm2
 
 from .confidence import _update_rows
 from .data import PLDataset
-from .kernel import mean_pairwise_distance, packed_gram, usable_sigma
+from .kernel import packed_gram, usable_sigma
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
@@ -61,8 +62,8 @@ class TrainConfig:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if not 0 < self.beta < np.inf:
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1 and an integer, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.init not in INIT_MODES:
@@ -139,18 +140,14 @@ def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]
 
     base supplies every setting but lam and beta.  Every point is checked as
     a TrainConfig before any work is done.  The bandwidth and the packed K
-    are taken once, the ridge system is factored once per beta, and that
-    beta's lambdas run in lockstep on its factor (see `_alternate`).
+    come from one distance pass, the ridge system is factored once per beta,
+    and that beta's lambdas run in lockstep on its factor (see `_alternate`).
     Deterministic given the dataset and the arguments.
     """
     if not [replace(base, lam=lam, beta=beta) for beta in betas for lam in lams]:
         raise ValueError("grids must be nonempty")
     X = d.features
-    if base.sigma_override is not None:
-        sigma = float(base.sigma_override)
-    else:  # one instance has no pairwise distances; its 1x1 Gram matrix is [[1]] for any sigma
-        sigma = 1.0 if d.m == 1 else mean_pairwise_distance(X)
-    K = packed_gram(X, sigma)
+    K, sigma = packed_gram(X, base.sigma_override)
     # solvers factor over the packed K they get: an unnamed copy, and K itself for the last beta
     return [[(KernelModel(X, A, b, sigma), P, trace)
              for A, b, P, trace in _alternate(

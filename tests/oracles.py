@@ -3,10 +3,11 @@
 Everything here is deliberately simple and derives expected values through a
 different route than the library: exhaustive grids, bisection water-filling,
 a scalar active-set enumeration and projected gradient for the anchored
-projections, an argsort round trip for the batched projection, long-run
-gradient descent, LU solves of the unreduced ridge systems, a ridge factor
-built in transposed order, per-class blob draws, a point-major grid search,
-quadrature, and full-sort neighbor search.  None of it calls into the code
+projections, an argsort round trip for the batched projection, the condensed
+distances of `pdist` for the bandwidth, long-run gradient descent, LU solves
+of the unreduced ridge systems, a ridge factor built in transposed order,
+per-class blob draws, a point-major grid search, quadrature, and full-sort
+neighbor search.  None of it calls into the code
 paths it checks.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, get_lapack_funcs
 from scipy.linalg.lapack import dpftrf, dtrttf
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from surepl.confidence import InfeasibleSupportError
 from surepl.data import PLDataset
@@ -322,6 +323,16 @@ def make_blobs_per_class(m, classes=3, n_features=2, separation=4.0, spread=1.0,
     cands = np.zeros((m, classes), dtype=np.uint8)
     cands[np.arange(m), truth] = 1
     return PLDataset(X, cands, truth)
+
+
+# ---------------------------------------------------------------------------
+# the bandwidth heuristic from condensed distances
+
+
+def mean_pdist(X):
+    """Mean Euclidean distance over the distinct pairs of rows of X, by
+    numpy's mean of scipy's condensed `pdist` array."""
+    return float(pdist(np.asarray(X, dtype=np.float64)).mean())
 
 
 # ---------------------------------------------------------------------------

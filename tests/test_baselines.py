@@ -87,6 +87,9 @@ class TestPlknn:
             plknn_predict(train, rng.standard_normal((2, 3)), KnnConfig(k=5))
         with pytest.raises(ValueError):
             KnnConfig(k=0)
+        for k in (2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"k must be at least 1 and an integer, got {k}"):
+                KnnConfig(k=k)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)

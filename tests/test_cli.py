@@ -292,6 +292,9 @@ MALFORMED_INPUTS = [
     ("predict", "model", _with(VALID_MODEL, 2, "2 1000000000000 2 1.5"), 3),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 1000000000000 1.5"), 5),
     *[(command, "data", text, line) for command in DATA_COMMANDS for text, line in MALFORMED_DATA],
+    # finite features whose squared distances overflow: the mean distance is inf
+    ("train", "data", "pld 1\n3 2 2\n1e200 0 | 1 | 1\n0 1 | 2 | 2\n2e200 1 | 1 | 1\n",
+     "sigma must be finite and positive with 2 sigma^2 > 0, got inf"),
     ("eval", "pred", "1\nx3\n", 2),
     ("eval", "truth", "2.5\n1\n", 1),
     ("eval", "values", "1 20.0\n2 abc\n", 2),

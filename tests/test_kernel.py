@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg.lapack import dtrttf
 from scipy.spatial.distance import cdist
 
+import oracles
 from surepl.kernel import PACK_WIDTH, gram_matrix, mean_pairwise_distance, packed_gram
 
 
@@ -37,6 +38,19 @@ class TestMeanPairwiseDistance:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="two instances"):
             mean_pairwise_distance(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 65, 128, 513, 514, 2000])
+    def test_training_bandwidth_within_4_ulps_of_pdist(self, m):
+        """The packed builder's default bandwidth is mean_pairwise_distance's
+        bit for bit, and both lie within 4 ulps of the mean of pdist's
+        condensed distances, which sums in another order.  From m = 128 the
+        packed array spans more than one summation block of m PACK_WIDTH
+        entries; at m = 2000 it spans 16."""
+        X = np.random.default_rng(m).standard_normal((m, 7))
+        sigma = mean_pairwise_distance(X)
+        assert packed_gram(X)[1] == sigma
+        reference = oracles.mean_pdist(X)
+        assert abs(sigma - reference) <= 4 * np.spacing(reference)
 
 
 class TestGramMatrix:
@@ -119,27 +133,31 @@ class TestPackedGram:
     def test_matches_packed_full_matrix(self, m):
         """Built in column blocks straight into RFP storage, each entry has
         the bits that dtrttf packs from the full Gram matrix, for odd and
-        even m and for m below, at and past one block."""
+        even m and for m below, at and past one block, with a given bandwidth
+        and with the default one taken from the same packed array."""
         X = np.random.default_rng(m).standard_normal((m, 7))
-        R = packed_gram(X, 2.3)
-        assert R.shape == (m * (m + 1) // 2,)
+        R, sigma = packed_gram(X, 2.3)
+        assert R.shape == (m * (m + 1) // 2,) and sigma == 2.3
         assert np.array_equal(R, dtrttf(gram_matrix(X, X, 2.3), transr="N", uplo="L")[0])
+        R, sigma = packed_gram(X)
+        assert np.array_equal(R, dtrttf(gram_matrix(X, X, sigma), transr="N", uplo="L")[0])
 
     @pytest.mark.parametrize("m", [64, 65])
     def test_overflowing_exponent_packs_the_identity(self, m):
         """With 2 sigma^2 subnormal every off-diagonal entry is exactly 0, so
         the packed array is the packed identity."""
         X = np.random.default_rng(m).standard_normal((m, 3))
-        R = packed_gram(X, 1e-160)
+        R, _ = packed_gram(X, 1e-160)
         assert np.array_equal(R, dtrttf(np.eye(m), transr="N", uplo="L")[0])
         assert np.count_nonzero(R) == m
 
     def test_holds_the_packed_array_and_one_block(self):
-        """Besides the packed array, the build holds O(m PACK_WIDTH) tiles."""
+        """Besides the packed array, the build holds O(m PACK_WIDTH) tiles, and
+        the default bandwidth O(m PACK_WIDTH) square roots at a time."""
         X = np.random.default_rng(5).standard_normal((1000, 4))
         tracemalloc.start()
         try:
-            R = packed_gram(X, 1.5)
+            R, _ = packed_gram(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

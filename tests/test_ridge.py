@@ -240,7 +240,7 @@ class TestFitKernel:
         """
         X = np.random.default_rng(m).standard_normal((m, 5))
         K = gram_matrix(X, X, sigma=2.5)
-        solver = KernelRidgeSolver(packed_gram(X, 2.5), 0.05)
+        solver = KernelRidgeSolver(packed_gram(X, 2.5)[0], 0.05)
         factor, rcond = oracles.kernel_ridge_factor_packed(K, 0.05)
         assert np.array_equal(solver._factor, factor)
         assert condition_bound(m, 0.05) <= rcond
@@ -341,7 +341,7 @@ class TestFitKernel:
         """The solver builds and factors its system in the packed array it is
         given, so it allocates no array of that size."""
         X = np.random.default_rng(12).standard_normal((600, 5))
-        K = packed_gram(X, 2.0)
+        K, _ = packed_gram(X, 2.0)
         tracemalloc.start()
         try:
             KernelRidgeSolver(K, 0.1)
@@ -367,7 +367,7 @@ class TestFitKernel:
         differently."""
         rng = np.random.default_rng(21)
         X = rng.standard_normal((300, 3))
-        solver = KernelRidgeSolver(packed_gram(X, 1.3), beta=0.1)
+        solver = KernelRidgeSolver(packed_gram(X, 1.3)[0], beta=0.1)
         P = rng.random((300, 5)) / 3.0
         A_c, b_c = solver.solve(np.ascontiguousarray(P))
         A_f, b_f = solver.solve(np.asfortranarray(P))

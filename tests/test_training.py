@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import surepl
+from surepl import kernel, ridge
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
@@ -202,6 +204,53 @@ class TestTrain:
         model, _, _ = train(d, TrainConfig(max_iter=2, sigma_override=1.0))
         assert model.sigma == 1.0
 
+    def test_bandwidth_is_mean_pairwise_distance(self):
+        """Training's default bandwidth comes from its own packed distances and
+        is mean_pairwise_distance's bit for bit, within 4 ulps of pdist's mean."""
+        d = noisy_blobs_600()
+        model, _, _ = train(d, TrainConfig(max_iter=2))
+        assert model.sigma == mean_pairwise_distance(d.features)
+        assert abs(model.sigma - oracles.mean_pdist(d.features)) <= 4 * np.spacing(model.sigma)
+
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_one_distance_pass(self, monkeypatch, m):
+        """train computes each pairwise squared distance once: the scipy
+        distance routines the kernel module calls return at most m (m + 1) / 2
+        entries, plus where the tiles of a block overlap."""
+        entries = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                entries.append(out.size)
+                return out
+            return wrapped
+
+        for name, fn in vars(kernel).copy().items():
+            if getattr(fn, "__module__", None) == "scipy.spatial.distance":
+                monkeypatch.setattr(kernel, name, counting(fn))
+        clean = make_blobs_dataset(m, classes=4, seed=3)
+        train(corrupt(clean, SyntheticSpec(p=0.5, r=1, seed=4)), TrainConfig(max_iter=2))
+        assert sum(entries) <= m * (m + 1) // 2 + m * kernel.PACK_WIDTH
+
+    def test_overflowing_distances_refused_before_any_factor(self, monkeypatch):
+        """Squared distances that overflow make the mean distance inf, which
+        the bandwidth check refuses by name before any factor is made."""
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored a system whose bandwidth is unusable")
+
+        monkeypatch.setattr(ridge, "dpftrf", no_factor)
+        X = np.array([[1e200, 0.0], [0.0, 1.0], [2e200, 1.0]])
+        d = PLDataset(X, np.eye(2, dtype=int)[[0, 1, 0]])
+        with pytest.raises(ValueError, match=r"sigma must be finite and positive .*, got inf"):
+            train(d, TrainConfig(max_iter=2))
+
+    def test_one_instance_takes_unit_bandwidth(self):
+        """One row has no pairwise distance; its K is [[1]] for any sigma."""
+        d = PLDataset(np.array([[0.5, -2.0]]), np.array([[1, 1, 0]]))
+        model, P, _ = train(d, TrainConfig(max_iter=2))
+        assert model.sigma == 1.0 and np.isfinite(P).all()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lam=-0.1)
@@ -211,6 +260,11 @@ class TestTrain:
             TrainConfig(init="sideways")
         with pytest.raises(ValueError):
             TrainConfig(tol=0.0)
+        for max_iter in (2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"max_iter must be at least 1 and an integer, "
+                                                 f"got {max_iter}"):
+                TrainConfig(max_iter=max_iter)
+        assert TrainConfig(max_iter=np.int64(3)).max_iter == 3
         with pytest.raises(ValueError):
             TrainTrace((1.0,), 2, False)
 

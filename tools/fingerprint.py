@@ -1,7 +1,7 @@
 """Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
-grid search, cv reports, each CLI subcommand's files and stdout); surepl comes from this
-checkout's `src/`, files go to a temporary directory.  Compare checkouts at one BLAS
-thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
+grid search, cv reports, each CLI subcommand's files and stdout, bandwidths); surepl
+comes from this checkout's `src/`, files go to a temporary directory.  Compare
+checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
 
 import contextlib
 import hashlib
@@ -54,6 +54,8 @@ def main():
                 code = surepl.cli.main([tok.format(**f) for tok in argv.split()])
             show("_".join(["cli", argv.split()[0], *outputs.split()]), f"{code}\n{out.getvalue()}",
                  *(Path(f[name]).read_bytes() for name in outputs.split()))
+    # the bandwidths of the `train` model and of the grid search set, on a line of their own
+    show("bandwidth", repr(model.sigma), repr(surepl.mean_pairwise_distance(small.features)))
 
 
 if __name__ == "__main__":
