@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import PLDataset, check_query
+from .data import PLDataset, check_count, check_query
 
 __all__ = ["KnnConfig", "plknn_predict"]
 
@@ -17,8 +17,7 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k must be at least 1 and an integer, got {self.k}")
+        check_count(self.k, "k", 1)
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:

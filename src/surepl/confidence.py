@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_real
+
 __all__ = [
     "ConfidenceVector",
     "QPResult",
@@ -94,8 +96,7 @@ def _check_inputs(Q, Y, lam):
         raise ValueError("outputs must be finite")
     if not np.isin(Y, (0, 1)).all():
         raise ValueError("support entries must be 0 or 1")
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    check_real(lam, "lambda")
     Yb = Y.astype(bool, order="C")
     empty = ~Yb.any(axis=1)
     if empty.any():

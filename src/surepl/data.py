@@ -42,6 +42,8 @@ __all__ = [
     "format_float",
     "parse_floats",
     "check_query",
+    "check_count",
+    "check_real",
     "corrupt",
     "split_folds",
 ]
@@ -89,6 +91,22 @@ def parse_floats(tokens, width: int, line: int, what: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise FileFormatError(f"non-finite {what}", line)
     return values
+
+
+def check_count(value, name: str, least: int):
+    """`value` if it is an integer (Python or numpy, not a bool) of at least
+    `least`; anything else raises ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be at least {least} and an integer, got {value}")
+    return value
+
+
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is finite and nonnegative,
+    or positive if `positive`; NaN is neither."""
+    if not (0 < value < np.inf if positive else 0 <= value < np.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -193,9 +211,9 @@ class SyntheticSpec:
 
     p:       proportion of instances turned into PL examples.
     r:       number of false positive labels added per PL example
-             (random mode; coupled mode always adds exactly one).
+             (random mode; coupled mode adds exactly one and takes only r = 1).
     epsilon: probability that the designated coupled label is the one added
-             (coupled mode only).
+             (coupled mode; random mode takes only epsilon = 0).
     mode:    "random" or "coupled".
     seed:    64-bit seed; identical seeds give byte-identical outputs.
     """
@@ -211,12 +229,14 @@ class SyntheticSpec:
             raise ValueError("p must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if int(self.r) != self.r or self.r < 1:
-            raise ValueError("r must be a positive integer")
+        check_count(self.r, "r", 1)
+        check_count(self.seed, "seed", 0)
         if self.mode not in ("random", "coupled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.mode == "coupled" and self.r != 1:
+            raise ValueError(f"r={self.r} needs random mode: coupled mode adds exactly one label")
+        if self.mode == "random" and self.epsilon != 0:
+            raise ValueError(f"epsilon={self.epsilon} needs coupled mode")
 
 
 def corrupt(clean: PLDataset, spec: SyntheticSpec) -> PLDataset:
@@ -274,11 +294,10 @@ def split_folds(d: PLDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.nd
     every class spread evenly across folds.
     """
     m = d.m
-    if k < 2:
-        raise ValueError("fold count must be at least 2")
+    check_count(k, "fold count", 2)
     if k > m:
         raise ValueError(f"fold count {k} exceeds {m} instances")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     if d.truth is not None:
         blocks = [rng.permutation(np.flatnonzero(d.truth == lab)) for lab in np.unique(d.truth)]
         order = np.concatenate(blocks)

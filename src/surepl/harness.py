@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .baselines import plknn_predict
-from .data import FileFormatError, PLDataset, parse_floats, read_lines, split_folds, write_lines
+from .data import (FileFormatError, PLDataset, check_count, check_real, parse_floats, read_lines,
+                   split_folds, write_lines)
 from .training import TrainConfig, TrainTrace, predict, train, train_grid
 
 __all__ = [
@@ -52,8 +53,7 @@ def mae_at_k(pred, truth, values: dict[int, float] | None = None, k: float = 0.0
     default is the identity mapping.  With k = 0 and injective values this
     reduces to plain accuracy.
     """
-    if not 0 <= k < np.inf:
-        raise ValueError(f"k must be finite and nonnegative, got {k}")
+    check_real(k, "k")
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
@@ -163,9 +163,7 @@ def _fold_plan(d: PLDataset, folds: int, seed: int):
     """
     if d.truth is None:
         raise ValueError("cross-validation requires ground truth for scoring")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    master = np.random.default_rng(seed)
+    master = np.random.default_rng(check_count(seed, "seed", 0))
     parts = split_folds(d, folds, int(master.integers(2**63 - 1)))  # checks the fold count
     return parts, [int(s) for s in master.integers(0, 2**63 - 1, size=folds)]
 
@@ -292,9 +290,10 @@ def make_blobs_dataset(
     Class centers sit on a circle in the first two feature dimensions with
     nearest-center distance `separation`; rows are shuffled.
     """
-    if classes < 2 or m < classes:
-        raise ValueError("need at least two classes and one instance per class")
-    rng = np.random.default_rng(seed)
+    check_count(classes, "classes", 2)
+    check_count(m, "m", classes)  # one instance per class
+    check_count(n_features, "n_features", 1)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     radius = separation / (2.0 * np.sin(np.pi / classes))
     angles = 2.0 * np.pi * np.arange(classes) / classes
     centers = np.zeros((classes, n_features))

@@ -21,16 +21,18 @@ PACK_WIDTH = 64
 RFP = {"transr": "N", "uplo": "L"}
 
 
-def usable_sigma(sigma) -> bool:
-    """Whether sigma is a Gaussian bandwidth: positive and finite, with 2 sigma^2
-    > 0, so the kernel's exponent divides by a nonzero number."""
-    return 0 < sigma < np.inf and 2.0 * sigma * sigma > 0
+def check_sigma(sigma, name: str = "sigma"):
+    """`sigma` if it is a Gaussian bandwidth: positive and finite, with 2 sigma^2
+    > 0, so the kernel's exponent divides by a nonzero number; anything else
+    raises ValueError naming `name`."""
+    if not (0 < sigma < np.inf and 2.0 * sigma * sigma > 0):
+        raise ValueError(f"{name} must be finite and positive with 2 sigma^2 > 0, got {sigma}")
+    return sigma
 
 
 def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-sq / (2 sigma^2)) in sq's buffer; an exponent overflowing to -inf gives 0."""
-    if not usable_sigma(sigma):
-        raise ValueError(f"sigma must be finite and positive with 2 sigma^2 > 0, got {sigma}")
+    check_sigma(sigma)
     with np.errstate(over="ignore"):
         sq /= -(2.0 * sigma * sigma)
     return np.exp(sq, out=sq)

@@ -41,8 +41,9 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dger
 from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
-from .data import FileFormatError, check_query, format_float, parse_floats, read_lines, write_lines
-from .kernel import RFP, gram_matrix, packed_diagonal, usable_sigma
+from .data import (FileFormatError, check_count, check_query, check_real, format_float,
+                   parse_floats, read_lines, write_lines)
+from .kernel import RFP, check_sigma, gram_matrix, packed_diagonal
 
 __all__ = [
     "KernelModel",
@@ -70,7 +71,8 @@ class KernelModel:
     """Kernel scorer keeping the training instances and combination weights.
 
     Scores a query row x as sum_i A[i] * k(x, x_i) + b with the Gaussian
-    kernel of bandwidth sigma.
+    kernel of bandwidth sigma.  Holds read-only views of the float64 arrays it
+    is given, not copies: the caller's own arrays stay writable.
     """
 
     train_X: np.ndarray
@@ -79,24 +81,17 @@ class KernelModel:
     sigma: float
 
     def __post_init__(self):
-        X = np.asarray(self.train_X, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        X, A, b = (np.asarray(v, dtype=np.float64).view() for v in (self.train_X, self.A, self.b))
         if X.ndim != 2 or A.ndim != 2 or A.shape[0] != X.shape[0]:
             raise ValueError("A must have one row per training instance")
         if b.shape != (A.shape[1],):
             raise ValueError("b must have one entry per label")
         if not (np.isfinite(X).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("model parameters must be finite")
-        if not usable_sigma(self.sigma):
-            raise ValueError(
-                f"sigma must be finite and positive with 2 sigma^2 > 0, got {self.sigma}"
-            )
-        for arr in (X, A, b):
+        check_sigma(self.sigma)
+        for field, arr in (("train_X", X), ("A", A), ("b", b)):
             arr.setflags(write=False)
-        object.__setattr__(self, "train_X", X)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+            object.__setattr__(self, field, arr)
         object.__setattr__(self, "sigma", float(self.sigma))
 
 
@@ -148,8 +143,7 @@ def fit_linear(X, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("X and P must be 2-D with matching row counts")
     if not (np.isfinite(X).all() and np.isfinite(P).all()):
         raise ValueError("X and P must be finite")
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_real(beta, "beta", positive=True)
     m = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         xsum = X.sum(axis=0)
@@ -257,8 +251,7 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("K must be square")
     if not np.isfinite(K).all():
         raise ValueError("K must be finite")
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_real(beta, "beta", positive=True)
     D = np.subtract(K, K.T)
     asym = float(np.abs(D, out=D).max())
     del D  # freed before the factor's working copy is made: one m x m temporary at a time
@@ -321,16 +314,12 @@ def load_model(path) -> KernelModel:
         raise FileFormatError(f"not a model file: expected header {MODEL_MAGIC!r}", 1)
     try:
         m, n, l, sigma = (lines[1] if len(lines) > 1 else "").split()
-        m, n, l, sigma = int(m), int(n), int(l), float(sigma)
+        m, n, l = (check_count(int(v), name, 1) for v, name in zip((m, n, l), "mnl"))
+        sigma = check_sigma(float(sigma))
     except ValueError as exc:
         raise FileFormatError(
             f"malformed model header ({exc}): expected '<m> <n> <l> <sigma>'", 2
         ) from None
-    if min(m, n, l) < 1 or not usable_sigma(sigma):
-        raise FileFormatError(
-            f"malformed model header: sizes must be >= 1 and sigma finite and positive "
-            f"with 2 sigma^2 > 0, got {lines[1]!r}", 2
-        )
     if len(lines) != 2 * m + 3:
         raise FileFormatError(
             f"dimension mismatch: header declares {m} rows, so {2 * m + 3} lines, "

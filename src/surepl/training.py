@@ -25,8 +25,8 @@ import numpy as np
 from scipy.linalg.blas import dnrm2
 
 from .confidence import _update_rows
-from .data import PLDataset
-from .kernel import packed_gram, usable_sigma
+from .data import PLDataset, check_count, check_real
+from .kernel import check_sigma, packed_gram
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
@@ -58,19 +58,14 @@ class TrainConfig:
     sigma_override: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1 and an integer, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        check_real(self.lam, "lam")
+        check_real(self.beta, "beta", positive=True)
+        check_count(self.max_iter, "max_iter", 1)
+        check_real(self.tol, "tol", positive=True)
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
-        if self.sigma_override is not None and not usable_sigma(self.sigma_override):
-            raise ValueError("sigma_override must be finite and positive with 2 sigma^2 > 0, "
-                             f"got {self.sigma_override}")
+        if self.sigma_override is not None:
+            check_sigma(self.sigma_override, "sigma_override")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class TestPlknn:
             plknn_predict(train, rng.standard_normal((2, 3)), KnnConfig(k=5))
         with pytest.raises(ValueError):
             KnnConfig(k=0)
-        for k in (2.5, 2.0, "3"):
+        for k in (2.5, 2.0, "3", True):
             with pytest.raises(ValueError, match=f"k must be at least 1 and an integer, got {k}"):
                 KnnConfig(k=k)
 

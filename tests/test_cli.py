@@ -334,9 +334,10 @@ MALFORMED_FLAGS = [
     (["train", "--sigma", "1e-300"], "with 2 sigma^2 > 0, got 1e-300"),
     (["eval", "--mae-k", "nan"], "k must be finite and nonnegative, got nan"),
     (["eval", "--mae-k", "-1"], "k must be finite and nonnegative, got -1.0"),
-    (["gen", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
-    (["cv", "--folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
-    (["grid", "--inner-folds", "2", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    (["gen", "--seed", "-1"], "seed must be at least 0 and an integer, got -1"),
+    (["cv", "--folds", "2", "--seed", "-1"], "seed must be at least 0 and an integer, got -1"),
+    (["grid", "--inner-folds", "2", "--seed", "-1"],
+     "seed must be at least 0 and an integer, got -1"),
     (["predict", "--out", "."], "Is a directory"),
     (["cv", "--folds", "2", "--traces", "--lambda-grid", "0.3"], "--traces does not apply"),
     (["cv", "--folds", "2", "--traces", "--beta-grid", "0.3"], "--traces does not apply"),
@@ -349,6 +350,9 @@ MALFORMED_FLAGS = [
      "--inner-folds needs --lambda-grid/--beta-grid"),
     (["cv", "--folds", "2", "--lambda-grid", "0.1,0.3", "--lambda", "5"],
      "--lambda does not apply to nested cv"),
+    # gen refuses the parameter its mode would drop
+    (["gen", "--coupled", "--r", "3"], "r=3 needs random mode"),
+    (["gen", "--epsilon", "0.5"], "epsilon=0.5 needs coupled mode"),
 ]
 
 

@@ -165,9 +165,17 @@ class TestPldFormat:
 
 
 class TestCorrupt:
-    def test_negative_seed_named(self):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
-            SyntheticSpec(p=0.5, seed=-1)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be at least 0 and an integer, got -1"),
+        ({"seed": 1.5}, "seed must be at least 0 and an integer, got 1.5"),
+        ({"r": 2.0}, "r must be at least 1 and an integer, got 2.0"),
+        ({"r": True}, "r must be at least 1 and an integer, got True"),
+        ({"r": 3, "mode": "coupled"}, "r=3 needs random mode"),
+        ({"epsilon": 0.5}, "epsilon=0.5 needs coupled mode"),
+    ])
+    def test_bad_spec_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(p=0.5, **kwargs)
 
     def test_p_zero_is_identity(self):
         d = singleton_dataset(50, 5, seed=3)

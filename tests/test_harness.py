@@ -133,6 +133,26 @@ def corrupted_blobs(seed, m=120, p=0.5, r=1):
     return corrupt(clean, SyntheticSpec(p=p, r=r, mode="random", seed=seed + 1000))
 
 
+# (a call given a count of the wrong kind, the message that must name it)
+BAD_COUNTS = [
+    (lambda d: cross_validate(d, "plknn", KnnConfig(k=3), folds=2.0, seed=0),
+     "fold count must be at least 2 and an integer, got 2.0"),
+    (lambda d: cross_validate(d, "plknn", KnnConfig(k=3), folds=2, seed=1.5),
+     "seed must be at least 0 and an integer, got 1.5"),
+    (lambda d: grid_search(d, (0.3,), (0.05,), inner_folds=2.0),
+     "fold count must be at least 2 and an integer, got 2.0"),
+    (lambda d: make_blobs_dataset(20.5), "m must be at least 3 and an integer, got 20.5"),
+    (lambda d: make_blobs_dataset(10, 3, 0), "n_features must be at least 1 and an integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_COUNTS, ids=[
+    "cv-folds", "cv-seed", "grid-inner-folds", "blobs-m", "blobs-n-features"])
+def test_bad_count_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(corrupted_blobs(0, m=30))
+
+
 class TestCrossValidate:
     def test_separable_supervised_blobs_high_accuracy(self):
         worst = 1.0

@@ -85,8 +85,8 @@ class TestFitLinear:
             fit_linear(np.ones((2, 2)), np.ones((2, 2)), beta=0.0)
 
     @pytest.mark.parametrize("X, P, beta, message", [
-        (np.ones((2, 2)), np.ones((2, 2)), np.inf, "beta must be positive and finite, got inf"),
-        (np.ones((2, 2)), np.ones((2, 2)), np.nan, "beta must be positive and finite, got nan"),
+        (np.ones((2, 2)), np.ones((2, 2)), np.inf, "beta must be finite and positive, got inf"),
+        (np.ones((2, 2)), np.ones((2, 2)), np.nan, "beta must be finite and positive, got nan"),
         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 2)), 0.1, "X and P must be finite"),
         (np.eye(2), np.array([[0.5, np.inf], [1.0, 0.0]]), 0.1, "X and P must be finite"),
         (np.array([[1e200, 0.0], [0.0, 1.0], [2e200, 1.0]]), np.eye(3)[:, :2], 0.1,
@@ -184,10 +184,10 @@ class TestFitKernel:
     @pytest.mark.parametrize("K, P, beta, message", [
         (np.ones((2, 3)), np.ones((2, 2)), 0.1, "K must be square"),
         (np.ones(4), np.ones((4, 2)), 0.1, "K must be square"),
-        (np.eye(2), np.ones((2, 2)), 0.0, "beta must be positive"),
-        (np.eye(2), np.ones((2, 2)), -1.0, "beta must be positive"),
-        (np.eye(2), np.ones((2, 2)), np.nan, "beta must be positive"),
-        (np.eye(3), np.eye(3), np.inf, "beta must be positive and finite, got inf"),
+        (np.eye(2), np.ones((2, 2)), 0.0, "beta must be finite and positive, got 0.0"),
+        (np.eye(2), np.ones((2, 2)), -1.0, "beta must be finite and positive, got -1.0"),
+        (np.eye(2), np.ones((2, 2)), np.nan, "beta must be finite and positive, got nan"),
+        (np.eye(3), np.eye(3), np.inf, "beta must be finite and positive, got inf"),
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones((2, 2)), 0.1, "K must be finite"),
         (np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones((2, 2)), 0.1, "K must be finite"),
         (np.eye(2), np.ones((3, 2)), 0.1, "P must have one row per training instance"),
@@ -501,3 +501,11 @@ class TestModelSerialization:
     def test_finite_validation(self):
         with pytest.raises(ValueError, match="finite"):
             KernelModel(np.ones((2, 2)), np.full((2, 2), np.nan), np.ones(2), 1.0)
+
+    def test_caller_arrays_stay_writable(self):
+        """The model locks views of the arrays it is given, not the arrays."""
+        X, A, b = np.ones((2, 2)), np.zeros((2, 3)), np.zeros(3)
+        model = KernelModel(X, A, b, 1.0)
+        assert X.flags.writeable and A.flags.writeable and b.flags.writeable
+        assert not any(v.flags.writeable for v in (model.train_X, model.A, model.b))
+        assert np.shares_memory(model.A, A)

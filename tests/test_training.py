@@ -260,7 +260,9 @@ class TestTrain:
             TrainConfig(init="sideways")
         with pytest.raises(ValueError):
             TrainConfig(tol=0.0)
-        for max_iter in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+            TrainConfig(tol=np.inf)
+        for max_iter in (2.5, 2.0, "3", True):
             with pytest.raises(ValueError, match=f"max_iter must be at least 1 and an integer, "
                                                  f"got {max_iter}"):
                 TrainConfig(max_iter=max_iter)

@@ -1,6 +1,6 @@
 """Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
-grid search, cv reports, each CLI subcommand's files and stdout, bandwidths); surepl
-comes from this checkout's `src/`, files go to a temporary directory.  Compare
+grid search, cv reports, each CLI subcommand's files and stdout, bandwidths, the messages
+of bad calls); surepl comes from this checkout's `src/`, files go to a temporary directory.  Compare
 checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
 
 import contextlib
@@ -30,6 +30,15 @@ def show(name, *parts):  # strings, bytes, and arrays with their dtype and shape
     print(name, hashlib.sha256(b"".join(data)).hexdigest())
 
 
+def error(call):
+    """`type: message` of the exception `call` raises, one line."""
+    try:
+        call()
+    except Exception as exc:  # recorded, whatever its type
+        return f"{type(exc).__name__}: {exc}\n"
+    return "no error\n"
+
+
 def main():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import surepl.cli
@@ -56,6 +65,34 @@ def main():
                  *(Path(f[name]).read_bytes() for name in outputs.split()))
     # the bandwidths of the `train` model and of the grid search set, on a line of their own
     show("bandwidth", repr(model.sigma), repr(surepl.mean_pairwise_distance(small.features)))
+    # `type: message` of one bad call per argument rule, so a changed message moves this line
+    inf, nan = float("inf"), float("nan")
+    bad_calls = [
+        lambda: surepl.TrainConfig(max_iter=True),  # counts
+        lambda: surepl.KnnConfig(k=True),
+        lambda: surepl.SyntheticSpec(p=0.5, r=2.0),
+        lambda: surepl.SyntheticSpec(p=0.5, r=True),
+        lambda: surepl.SyntheticSpec(p=0.5, seed=1.5),
+        lambda: surepl.cross_validate(small, "plknn", surepl.KnnConfig(), 2.0, 0),
+        lambda: surepl.cross_validate(small, "plknn", surepl.KnnConfig(), 2, 1.5),
+        lambda: surepl.grid_search(small, inner_folds=2.0),
+        lambda: surepl.split_folds(small, 1, 0),
+        lambda: surepl.make_blobs_dataset(20.5),
+        lambda: surepl.make_blobs_dataset(10, 3, 0),
+        lambda: surepl.TrainConfig(lam=nan),  # finite reals
+        lambda: surepl.TrainConfig(beta=0.0),
+        lambda: surepl.TrainConfig(tol=inf),
+        lambda: surepl.fit_linear([[1.0]], [[1.0]], inf),
+        lambda: surepl.fit_kernel([[1.0]], [[1.0]], -1.0),
+        lambda: surepl.update_confidence_matrix([[0.5, 0.5]], [[1, 1]], -1.0),
+        lambda: surepl.mae_at_k([0], [0], None, nan),
+        lambda: surepl.gram_matrix([[0.0]], [[1.0]], 1e-300),  # bandwidths
+        lambda: surepl.KernelModel([[0.0]], [[0.0]], [0.0], inf),
+        lambda: surepl.TrainConfig(sigma_override=0.0),
+        lambda: surepl.SyntheticSpec(p=0.5, r=3, mode="coupled"),  # a parameter the mode drops
+        lambda: surepl.SyntheticSpec(p=0.5, epsilon=0.5),
+    ]
+    show("errors", *map(error, bad_calls))
 
 
 if __name__ == "__main__":
