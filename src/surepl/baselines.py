@@ -8,6 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import PLDataset, check_count, check_query
+from .kernel import row_blocks
 
 __all__ = ["KnnConfig", "plknn_predict"]
 
@@ -41,11 +42,15 @@ def plknn_predict(train: PLDataset, X_query, cfg: KnnConfig) -> np.ndarray:
     neighbors' candidate sets.
 
     Votes are unweighted indicator counts.  Distance ties prefer the lower
-    training index; vote ties prefer the lower label.
+    training index; vote ties prefer the lower label.  Queries are scored in
+    the row blocks of `kernel.row_blocks`, so no more than one block of
+    query-to-training distances is held at a time.
     """
     if cfg.k >= train.m:
         raise ValueError(f"k={cfg.k} must be smaller than the {train.m} training instances")
     X_query = check_query(X_query, train.n)
-    nn = _nearest(cdist(X_query, train.features), cfg.k)
-    votes = train.candidates[nn].sum(axis=1)
-    return np.argmax(votes, axis=1)
+    pred = np.empty(X_query.shape[0], dtype=np.intp)
+    for s in row_blocks(X_query.shape[0], train.m):
+        nn = _nearest(cdist(X_query[s], train.features), cfg.k)
+        pred[s] = np.argmax(train.candidates[nn].sum(axis=1), axis=1)
+    return pred

@@ -25,6 +25,7 @@ the 1-based ground-truth label (present for every line or for none).
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ __all__ = [
     "check_query",
     "check_count",
     "check_real",
+    "is_real",
     "corrupt",
     "split_folds",
 ]
@@ -101,10 +103,15 @@ def check_count(value, name: str, least: int):
     return value
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number, Python or numpy, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_real(value, name: str, positive: bool = False) -> None:
-    """Raise ValueError naming `name` unless `value` is finite and nonnegative,
-    or positive if `positive`; NaN is neither."""
-    if not (0 < value < np.inf if positive else 0 <= value < np.inf):
+    """Raise ValueError naming `name` unless `value` is a real number (`is_real`),
+    finite and nonnegative, or positive if `positive`; NaN is neither."""
+    if not (is_real(value) and (0 < value < np.inf if positive else 0 <= value < np.inf)):
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
@@ -225,10 +232,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+        for name, value in (("p", self.p), ("epsilon", self.epsilon)):
+            if not (is_real(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         check_count(self.r, "r", 1)
         check_count(self.seed, "seed", 0)
         if self.mode not in ("random", "coupled"):

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .baselines import plknn_predict
-from .data import (FileFormatError, PLDataset, check_count, check_real, parse_floats, read_lines,
-                   split_folds, write_lines)
+from .data import (FileFormatError, PLDataset, check_count, check_real, is_real, parse_floats,
+                   read_lines, split_folds, write_lines)
 from .training import TrainConfig, TrainTrace, predict, train, train_grid
 
 __all__ = [
@@ -89,7 +89,7 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
     function.  Degenerate samples with zero pooled variance give a tie when
     the means agree and a win/loss with p = 0 otherwise.
     """
-    if not 0 < alpha < 1:
+    if not (is_real(alpha) and 0 < alpha < 1):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -340,9 +340,12 @@ def _is_number(v) -> bool:
 def report_from_json(text: str) -> ExperimentReport:
     """Parse report_to_json's output; a payload that is not an object, or
     lacks a key or holds it with the wrong type, raises ValueError naming it,
-    as does JSON nested too deeply for the parser."""
+    as does JSON nested too deeply for the parser; text that is not JSON
+    raises FileFormatError naming the line."""
     try:
         payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"invalid report JSON ({exc.msg})", exc.lineno) from None
     except RecursionError:
         raise ValueError("report JSON is nested too deeply") from None
     if not isinstance(payload, dict):

@@ -4,6 +4,8 @@
 makes one pass over its pairwise distances: `packed_gram` writes their squares
 in packed storage, takes the bandwidth from them and turns them into the Gram
 matrix in place.  `_gaussian` is the one place the Gaussian formula is written.
+`row_blocks` cuts a query-by-training matrix into the row blocks that query
+scoring and PLKNN each build, use and free one at a time.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .data import is_real
+
 __all__ = ["mean_pairwise_distance", "gram_matrix", "packed_gram"]
 
 # columns of the packed array built per block of `cdist` tiles
 PACK_WIDTH = 64
+# largest row block of a query-by-training matrix that query scoring or PLKNN holds
+ROW_BLOCK_BYTES = 2 * 2**20
 # LAPACK's RFP layout arguments for every packed matrix: the lower triangle, not transposed
 RFP = {"transr": "N", "uplo": "L"}
 
@@ -25,7 +31,7 @@ def check_sigma(sigma, name: str = "sigma"):
     """`sigma` if it is a Gaussian bandwidth: positive and finite, with 2 sigma^2
     > 0, so the kernel's exponent divides by a nonzero number; anything else
     raises ValueError naming `name`."""
-    if not (0 < sigma < np.inf and 2.0 * sigma * sigma > 0):
+    if not (is_real(sigma) and 0 < sigma < np.inf and 2.0 * sigma * sigma > 0):
         raise ValueError(f"{name} must be finite and positive with 2 sigma^2 > 0, got {sigma}")
     return sigma
 
@@ -99,6 +105,23 @@ def gram_matrix(X_rows, X_cols, sigma: float) -> np.ndarray:
     if X_rows.ndim != 2 or X_cols.ndim != 2 or X_rows.shape[1] != X_cols.shape[1]:
         raise ValueError(f"dimension mismatch: {X_rows.shape} rows vs {X_cols.shape} columns")
     return _gaussian(cdist(X_rows, X_cols, "sqeuclidean"), sigma)
+
+
+def row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row slices of a rows x cols float64 matrix, each within ROW_BLOCK_BYTES
+    (or one row).
+
+    The blocks are of near-equal size: a small remainder block could take a
+    different BLAS kernel and round its scores differently.  They are small
+    because once a freed block of 32 MiB or less has raised glibc's mmap
+    threshold, later blocks of that size come from the heap and stay resident
+    after they are freed.  Much smaller blocks (512 KiB) do change the bits
+    of the scores, so ROW_BLOCK_BYTES stays at 1 MiB or above.
+    """
+    per_block = max(1, ROW_BLOCK_BYTES // (8 * cols))
+    count = max(1, -(-rows // per_block))
+    edges = [rows * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def packed_gram(X, sigma: float | None = None) -> tuple[np.ndarray, float]:

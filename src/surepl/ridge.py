@@ -25,10 +25,11 @@ scores are P - beta A (see `fit_kernel`).  Each solve copies P once into
 Fortran order, so a fit depends on P's values and not on its memory layout.
 
 `model_outputs` is the one query scorer: it builds and scores the query Gram
-matrix one row block of at most SCORE_BLOCK_BYTES at a time, so it never
-holds the whole of it.  All of that runs in scipy's BLAS/LAPACK: numpy and
-scipy may each bundle their own threaded BLAS, and alternating between the
-two makes their worker threads compete for the same cores.
+matrix one row block of `kernel.row_blocks` (at most 2 MiB) at a time, so it
+never holds the whole of it, nor leaves a freed block that stays resident
+under the next training's K.  All of that runs in scipy's BLAS/LAPACK: numpy
+and scipy may each bundle their own threaded BLAS, and alternating between
+the two makes their worker threads compete for the same cores.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
 from .data import (FileFormatError, check_count, check_query, check_real, format_float,
                    parse_floats, read_lines, write_lines)
-from .kernel import RFP, check_sigma, gram_matrix, packed_diagonal
+from .kernel import RFP, check_sigma, gram_matrix, packed_diagonal, row_blocks
 
 __all__ = [
     "KernelModel",
@@ -58,8 +59,6 @@ __all__ = [
 MODEL_MAGIC = "sure-model 1"
 RCOND_FLOOR = 1e-13
 SYMMETRY_TOL = 1e-8
-# largest row block of a query Gram matrix that query scoring holds at once
-SCORE_BLOCK_BYTES = 16 * 2**20
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -267,19 +266,6 @@ def fit_kernel(K, P, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return _kernel_solve(factor, _ones_solve(factor, m), P)
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Row slices of a rows x cols float64 matrix, each within SCORE_BLOCK_BYTES
-    (or one row).
-
-    The blocks are of near-equal size: a small remainder block could take a
-    different BLAS kernel and round its scores differently.
-    """
-    per_block = max(1, SCORE_BLOCK_BYTES // (8 * cols))
-    count = max(1, -(-rows // per_block))
-    edges = [rows * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def model_outputs(model: KernelModel, X_query) -> np.ndarray:
     """Score matrix for query rows: gram(X_query, train_X) @ A + b.
 
@@ -291,7 +277,7 @@ def model_outputs(model: KernelModel, X_query) -> np.ndarray:
     X = model.train_X
     X_query = check_query(X_query, X.shape[1])
     out = np.empty((X_query.shape[0], model.A.shape[1]))
-    for s in _row_blocks(X_query.shape[0], X.shape[0]):
+    for s in row_blocks(X_query.shape[0], X.shape[0]):
         out[s] = dgemm(1.0, gram_matrix(X_query[s], X, model.sigma).T, model.A, trans_a=True)
     out += model.b
     return out

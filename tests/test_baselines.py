@@ -1,5 +1,7 @@
 """PLKNN voting, tie-breaking, and the full-sort oracle comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import oracles
+from surepl import kernel
 from surepl.baselines import KnnConfig, _nearest, plknn_predict
 from surepl.data import PLDataset
 
@@ -110,6 +113,35 @@ class TestPlknn:
         train = make_train(np.random.default_rng(7))
         with pytest.raises(ValueError, match="2-D"):
             plknn_predict(train, np.zeros(3), KnnConfig(k=3))
+
+    def test_blocks_vote_like_separate_queries(self, monkeypatch):
+        """A query spanning several row blocks predicts as its blocks would
+        alone, and as the exhaustive search does."""
+        rng = np.random.default_rng(9)
+        train = make_train(rng, m=40)
+        queries = rng.standard_normal((300, 3))
+        monkeypatch.setattr(kernel, "ROW_BLOCK_BYTES", 40 * 8 * 64)
+        blocks = kernel.row_blocks(300, 40)
+        assert [s.stop - s.start for s in blocks] == [60] * 5
+        pred = plknn_predict(train, queries, KnnConfig(k=5))
+        alone = np.hstack([plknn_predict(train, queries[s], KnnConfig(k=5)) for s in blocks])
+        assert np.array_equal(pred, alone)
+        ref = oracles.knn_exhaustive_predict(train.features, train.candidates, queries, 5)
+        assert np.array_equal(pred, ref)
+
+    def test_holds_one_block_of_the_distances(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        train = make_train(rng, m=200)
+        queries = rng.standard_normal((4000, 3))
+        dist_bytes = 4000 * 200 * 8
+        monkeypatch.setattr(kernel, "ROW_BLOCK_BYTES", dist_bytes // 16)
+        tracemalloc.start()
+        try:
+            plknn_predict(train, queries, KnnConfig(k=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dist_bytes / 4
 
     def test_empty_query(self):
         train = make_train(np.random.default_rng(8))

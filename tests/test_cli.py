@@ -306,6 +306,7 @@ MALFORMED_INPUTS = [
      "'per_fold_accuracy'"),
     ("ttest", "report", VALID_REPORT.replace('"mean": 0.6', '"mean": NaN'), "finite"),
     ("ttest", "report", VALID_REPORT.replace("[0.5, 0.7]", "[]"), "must not be empty"),
+    ("ttest", "report", "1\n2\n", "invalid report JSON (Extra data) at line 2"),
     pytest.param("ttest", "report", "[" * 100000, "nested too deeply",
                  id="ttest-report-deeply-nested"),
 ]

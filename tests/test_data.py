@@ -172,10 +172,13 @@ class TestCorrupt:
         ({"r": True}, "r must be at least 1 and an integer, got True"),
         ({"r": 3, "mode": "coupled"}, "r=3 needs random mode"),
         ({"epsilon": 0.5}, "epsilon=0.5 needs coupled mode"),
+        ({"p": "0.5"}, r"p must be in \[0, 1\], got 0.5"),
+        ({"p": True}, r"p must be in \[0, 1\], got True"),
+        ({"epsilon": "0.5", "mode": "coupled"}, r"epsilon must be in \[0, 1\], got 0.5"),
     ])
     def test_bad_spec_named(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            SyntheticSpec(p=0.5, **kwargs)
+            SyntheticSpec(**{"p": 0.5, **kwargs})
 
     def test_p_zero_is_identity(self):
         d = singleton_dataset(50, 5, seed=3)

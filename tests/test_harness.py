@@ -64,7 +64,7 @@ class TestMaeAtK:
         with pytest.raises(ValueError, match="no value mapping"):
             mae_at_k([0, 1], [0, 2], {0: 1.0, 1: 2.0}, 1.0)
 
-    @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf, None])
     def test_k_must_be_finite_and_nonnegative(self, k):
         with pytest.raises(ValueError, match=f"k must be finite and nonnegative, got {k}"):
             mae_at_k([0, 1], [0, 1], None, k)
@@ -126,6 +126,11 @@ class TestTTest:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError, match="two observations"):
             t_test_two_sample([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("alpha", ["x", None])
+    def test_alpha_must_be_a_number(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must lie strictly between 0 and 1, got {alpha}"):
+            t_test_two_sample([1, 2], [3, 4], alpha)
 
 
 def corrupted_blobs(seed, m=120, p=0.5, r=1):

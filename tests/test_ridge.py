@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from surepl import ridge
+from surepl import kernel, ridge
 from surepl.kernel import gram_matrix, mean_pairwise_distance, packed_gram
 from surepl.ridge import (
     KernelModel,
@@ -440,7 +440,7 @@ class TestModelOutputs:
         model = self.make_model(rng, m=200)
         queries = rng.standard_normal((4000, 3))
         gram_bytes = 4000 * 200 * 8
-        monkeypatch.setattr(ridge, "SCORE_BLOCK_BYTES", gram_bytes // 8)
+        monkeypatch.setattr(kernel, "ROW_BLOCK_BYTES", gram_bytes // 8)
         tracemalloc.start()
         try:
             model_outputs(model, queries)
@@ -455,8 +455,8 @@ class TestModelOutputs:
         rng = np.random.default_rng(16)
         model = self.make_model(rng, m=300, l=5)
         queries = rng.standard_normal((1000, 3))
-        monkeypatch.setattr(ridge, "SCORE_BLOCK_BYTES", 300 * 8 * 256)
-        blocks = ridge._row_blocks(1000, 300)
+        monkeypatch.setattr(kernel, "ROW_BLOCK_BYTES", 300 * 8 * 256)
+        blocks = kernel.row_blocks(1000, 300)
         assert [s.stop - s.start for s in blocks] == [250] * 4
         whole = model_outputs(model, queries)
         alone = np.vstack([model_outputs(model, queries[s]) for s in blocks])

@@ -267,6 +267,15 @@ class TestTrain:
                                                  f"got {max_iter}"):
                 TrainConfig(max_iter=max_iter)
         assert TrainConfig(max_iter=np.int64(3)).max_iter == 3
+        for kwargs, message in [  # non-numbers and bools fail by name, not in a comparison
+            ({"lam": "0.3"}, "lam must be finite and nonnegative, got 0.3"),
+            ({"lam": True}, "lam must be finite and nonnegative, got True"),
+            ({"beta": None}, "beta must be finite and positive, got None"),
+            ({"sigma_override": "1"},
+             r"sigma_override must be finite and positive with 2 sigma\^2 > 0, got 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(**kwargs)
         with pytest.raises(ValueError):
             TrainTrace((1.0,), 2, False)
 

@@ -91,6 +91,14 @@ def main():
         lambda: surepl.TrainConfig(sigma_override=0.0),
         lambda: surepl.SyntheticSpec(p=0.5, r=3, mode="coupled"),  # a parameter the mode drops
         lambda: surepl.SyntheticSpec(p=0.5, epsilon=0.5),
+        lambda: surepl.TrainConfig(lam="0.3"),  # non-numbers and bools
+        lambda: surepl.TrainConfig(lam=True),
+        lambda: surepl.TrainConfig(beta=None),
+        lambda: surepl.TrainConfig(sigma_override="1"),
+        lambda: surepl.SyntheticSpec(p="0.5"),
+        lambda: surepl.SyntheticSpec(p=True),
+        lambda: surepl.t_test_two_sample([1, 2], [3, 4], alpha="x"),
+        lambda: surepl.mae_at_k([0], [0], k=None),
     ]
     show("errors", *map(error, bad_calls))
 
