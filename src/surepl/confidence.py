@@ -16,8 +16,10 @@ non-increasing vector whose simplex threshold fixes every coordinate.
 calls it: `solve_opi` on one row, `solve_ops` at the surrogate anchor
 argmax_{j in S} q_j, `solve_op_exact` on one copy of the row per candidate
 anchor, and `update_confidence_matrix` (and the training loop) on a whole
-output matrix at the surrogate anchors.  Non-candidates enter it as -inf,
-which sorts last and runs through its sums and means without a NaN.
+output matrix at the surrogate anchors.  It works on each row's candidates
+alone (`_slots`), so its cost follows the largest candidate count, not the
+label count.  Padding enters it as -inf, which sorts last and runs through
+its sums and means without a NaN.  Outputs whose sums could overflow are refused.
 """
 
 from __future__ import annotations
@@ -90,13 +92,16 @@ def _check_inputs(Q, Y, lam):
     checks every public entry shares; single-row solvers pass 1 x l matrices."""
     Q = np.asarray(Q, dtype=np.float64)
     Y = np.asarray(Y)
-    if Q.ndim != 2 or Y.shape != Q.shape:
-        raise ValueError("outputs and supports must be equal-shape arrays, one row per example")
+    if Q.ndim != 2 or Y.shape != Q.shape or not Q.shape[1]:
+        raise ValueError("outputs and supports must be equal-shape m x l arrays, m >= 0, l >= 1")
     if not np.isfinite(Q).all():
         raise ValueError("outputs must be finite")
     if not np.isin(Y, (0, 1)).all():
         raise ValueError("support entries must be 0 or 1")
     check_real(lam, "lambda")
+    # every prefix sum the kernel takes is at most l (max|q| + lambda / 2) in magnitude
+    if not np.isfinite(Q.shape[1] * (float(np.abs(Q).max(initial=0.0)) + float(lam) / 2.0)):
+        raise ValueError("outputs too large: l * (max |output| + lambda / 2) overflows float64")
     Yb = Y.astype(bool, order="C")
     empty = ~Yb.any(axis=1)
     if empty.any():
@@ -114,7 +119,8 @@ def _best_anchored(Q, Yb, lam: float, anchors) -> QPResult:
     anchors = np.asarray(anchors)
     k = anchors.size
     Qk = np.repeat(Q, k, axis=0)
-    P = _update_rows(Qk, np.repeat(Yb, k, axis=0), lam, anchors)
+    # an anchor's slot is the count of candidates below it
+    P = _update_rows(Qk, _slots(np.repeat(Yb, k, axis=0)), lam, np.cumsum(Yb[0])[anchors] - 1)
     obj = ((P - Qk) ** 2).sum(axis=1) - lam * P[np.arange(k), anchors]
     i = int(np.argmin(obj))
     return QPResult(ConfidenceVector(P[i], Yb[0]), float(obj[i]), int(anchors[i]))
@@ -171,56 +177,76 @@ def update_confidence_matrix(Q, Y, lam: float) -> np.ndarray:
     same kernel at the surrogate anchors.
     """
     Q, Yb = _check_inputs(Q, Y, lam)
-    return _update_rows(Q, Yb, lam)
+    return _update_rows(Q, _slots(Yb), lam)
 
 
-def _update_rows(Q: np.ndarray, mask: np.ndarray, lam, anchors=None) -> np.ndarray:
+def _slots(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The c x n arrays (flat, valid) of the n x l bool candidate mask, c the
+    largest candidate count (1 if n = 0): slot s of row i is its s-th
+    candidate in ascending order, as the flat index i l + label.  Rows with
+    fewer are padded (valid False) with their lowest non-candidates, so a
+    row's slots are distinct labels."""
+    n, l = mask.shape
+    counts = mask.sum(axis=1)
+    labels = np.argsort(~mask, axis=1, kind="stable")[:, :counts.max(initial=1)]
+    flat = np.ascontiguousarray((labels + l * np.arange(n)[:, None]).T)
+    return flat, np.arange(flat.shape[0])[:, None] < counts
+
+
+def _update_rows(Q: np.ndarray, slots, lam, anchors=None) -> np.ndarray:
     """Row i projects Q[i] + (lam / 2) e_anchor onto C(anchor); no checks.
 
-    mask is the C-ordered bool candidate mask, with at least one candidate
-    per row; the training loop builds it from a PLDataset, which guarantees
-    that.  lam is one value or one per row.  anchors holds one candidate
-    label per row and defaults to the surrogate anchor, the candidate with
-    the largest output (ties to the lowest label).  P comes back as a new
-    C-ordered array.
+    Q's rows run along its last axis; slots are the `_slots` of their
+    candidate mask, with at least one candidate per row (the training loop
+    builds them from a PLDataset, which guarantees that).  lam is one value
+    or one per row.  anchors holds one slot per row and defaults to the
+    surrogate anchor, the candidate with the largest output (ties to the
+    lowest label).  P comes back as a new C-ordered array of Q's shape.
     """
-    m, l = Q.shape
-    rows = np.arange(m)
+    flat, valid = slots
+    c, n = flat.shape
+    cols = np.arange(n)
 
-    C = np.where(mask, Q, -np.inf)  # C-ordered like mask: rows contiguous for the sort
-    if anchors is None:
-        anchors = np.argmax(C, axis=1)
-    a_val = C[rows, anchors] + lam / 2.0
-    C[rows, anchors] = np.inf
-    V = np.sort(C, axis=1)[:, ::-1]  # the anchor, other candidates descending, -inf tail
-    V[:, 0] = a_val
+    C = np.where(valid, Q.take(flat), -np.inf)  # C[s]: every row's slot s, contiguous
+    if anchors is None:  # the first maximum: slots ascend by label, so ties go to the lowest
+        anchors, best = np.zeros(n, dtype=np.intp), C[0].copy()
+        for s in range(1, c):
+            np.copyto(anchors, s, where=C[s] > best)
+            np.maximum(best, C[s], out=best)
+    anchors = anchors * n + cols  # flat indices into C
+    a_val = C.take(anchors) + lam / 2.0
+    C.reshape(-1)[anchors] = np.inf
+    V = np.sort(C, axis=0)[::-1]  # the anchor, the other candidates descending, the padding
+    V[0] = a_val
 
     # Prefix means of V are unimodal: they rise while the next value exceeds
     # the running mean.  The anchor pools with the coordinates up to their
     # peak tau, at the peak mean.  A -inf never passes the tests below.
-    cum = np.cumsum(V, axis=1)
-    ranks = np.arange(1, l + 1)
-
+    #
     # simplex threshold (Held/Michelot rule) of the pooled vector, the peak
     # mean tau times then V[tau:], which is non-increasing.  The test can run
     # on V itself: pooling keeps the prefix sums from rank tau on, and every
     # rank up to tau passes, since each of those values is at least its
     # prefix mean.  The anchor always passes, though a > a - 1 is false once
     # a - 1 rounds to a.
-    cond = V * ranks > cum - 1.0
-    cond[:, 0] = True
-    rho = cond.sum(axis=1)
-    theta = (cum[rows, rho - 1] - 1.0) / rho
+    cum = V.copy()
+    rho = np.ones(n, dtype=np.intp)
+    peak, pool = a_val, np.full(n, np.inf)  # the first peak mean, and V[tau - 1] if tau > 1
+    for s in range(1, c):
+        np.add(cum[s - 1], V[s], out=cum[s])
+        rho += V[s] * (s + 1) > cum[s] - 1.0
+        mean = cum[s] / (s + 1)
+        up = mean > peak
+        peak, pool = np.where(up, mean, peak), np.where(up, V[s], pool)
+    theta = (cum.take((rho - 1) * n + cols) - 1.0) / rho
 
     # anchor level: the peak prefix mean of V, less the threshold
-    means = cum / ranks
-    tau = np.argmax(means, axis=1) + 1
-    t = means[rows, tau - 1] - theta
+    t = peak - theta
     # only the anchor passes the threshold: the row commits, and a - (a - 1)
     # can miss 1 by an ulp (every other coordinate is already exactly 0)
     t[rho == 1] = 1.0
 
-    # Label order: clip(C - theta, 0, t), then the pooled entries (C at or
+    # Per slot: clip(C - theta, 0, t), then the pooled entries (C at or
     # above V[tau - 1], the anchor's +inf among them; the anchor alone if
     # tau == 1, where a tie could reach V[0]) set to t.  In exact
     # arithmetic a pooled value exceeds the pool mean, so it would clip to t
@@ -231,8 +257,10 @@ def _update_rows(Q: np.ndarray, mask: np.ndarray, lam, anchors=None) -> np.ndarr
     # that out (the smallest pooled value is above the peak mean, every
     # unpooled value at or below it), so only a tie made by rounding could
     # set one more entry to t where clipping would give a value an ulp away.
-    P = C - theta[:, None]
+    P = C - theta
     np.maximum(P, 0.0, out=P)
-    np.minimum(P, t[:, None], out=P)
-    np.copyto(P, t[:, None], where=C >= np.where(tau > 1, V[rows, tau - 1], np.inf)[:, None])
-    return P
+    np.minimum(P, t, out=P)
+    np.copyto(P, t, where=C >= pool)
+    out = np.zeros(Q.shape)
+    out.reshape(-1)[flat] = P  # the padding writes zeros over non-candidates
+    return out

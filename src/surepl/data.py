@@ -28,7 +28,6 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,16 +61,19 @@ class FileFormatError(ValueError):
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without their line terminators."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    """The lines of a UTF-8 text file, without their line terminators (LF,
+    CRLF or CR), read line by line."""
+    with open(path, encoding="utf-8") as f:
+        return [line.rstrip("\n") for line in f]
 
 
 def write_lines(path, lines) -> None:
-    """Write `lines` as UTF-8 text, each one ended by LF."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write the strings of the iterable `lines` as UTF-8 text, each one ended
+    by LF, one at a time; no lines write one empty line."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(next(lines, "") + "\n")
+        f.writelines(line + "\n" for line in lines)
 
 
 def format_float(x) -> str:
@@ -320,14 +322,14 @@ def split_folds(d: PLDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.nd
 
 def save_dataset(d: PLDataset, path) -> None:
     """Write the dataset in PLD format; load_dataset inverts this bit-exactly."""
-    lines = [PLD_MAGIC, f"{d.m} {d.n} {d.l}"]
-    for i, row in enumerate(d.features):
-        cands = ",".join(str(j + 1) for j in np.flatnonzero(d.candidates[i]))
-        line = f"{' '.join(map(format_float, row.tolist()))} | {cands}"
-        if d.truth is not None:
-            line += f" | {d.truth[i] + 1}"
-        lines.append(line)
-    write_lines(path, lines)
+    def lines():
+        yield from (PLD_MAGIC, f"{d.m} {d.n} {d.l}")
+        for i, row in enumerate(d.features):
+            cands = ",".join(str(j + 1) for j in np.flatnonzero(d.candidates[i]))
+            line = f"{' '.join(map(format_float, row.tolist()))} | {cands}"
+            yield line if d.truth is None else f"{line} | {d.truth[i] + 1}"
+
+    write_lines(path, lines())
 
 
 def load_dataset(path) -> PLDataset:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger
@@ -287,10 +288,9 @@ def save_model(model: KernelModel, path) -> None:
     """Versioned text serialization; floats use shortest round-trip decimals."""
     m, n = model.train_X.shape
     l = model.A.shape[1]
-    lines = [MODEL_MAGIC, f"{m} {n} {l} {format_float(model.sigma)}"]
-    for block in (model.train_X, model.A, model.b[None, :]):
-        lines.extend(" ".join(map(format_float, row)) for row in block.tolist())
-    write_lines(path, lines)
+    rows = (" ".join(map(format_float, row.tolist()))
+            for block in (model.train_X, model.A, model.b[None, :]) for row in block)
+    write_lines(path, chain([MODEL_MAGIC, f"{m} {n} {l} {format_float(model.sigma)}"], rows))
 
 
 def load_model(path) -> KernelModel:

@@ -14,7 +14,8 @@ ridge system once per beta, and runs every lambda of that beta in lockstep
 through `_alternate`.  `train` is its single-point case and grid search calls
 it once per fold.  The confidence matrices of the lambdas still running live
 in one m x k x l array; memory layout is left to the ridge solve, whose fit
-depends on values only.
+depends on values only.  The confidence update runs on each row's candidates
+(`confidence._slots`), which `_alternate` lists again only when a lambda freezes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dnrm2
 
-from .confidence import _update_rows
+from .confidence import _slots, _update_rows
 from .data import PLDataset, check_count, check_real
 from .kernel import check_sigma, packed_gram
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
@@ -89,9 +90,10 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     The confidence matrices of the k lams still running live in one
     m x k x l array P, so P[:, i] is the i-th live lam's matrix.  Read as
     m x (k l) it is their blocks side by side, the right-hand side of one
-    ridge solve; read as (m k) x l it is one row per example and lam, the
-    input of one confidence update.  Both are reshapes, not copies.  A lam
-    freezes once its own change drops to the tolerance, so it runs the
+    ridge solve (a reshape, not a copy); its m k rows of l labels, one per
+    example and lam, go through one confidence update on the slots of the
+    candidate mask repeated k times, built again only when a lam freezes.
+    A lam freezes once its own change drops to the tolerance, so it runs the
     iterations it would run alone.  Its A may differ from a solve of its own
     matrix by round-off (a multi-column triangular solve blocks its work
     differently); with one lam the loop is exactly the single fit.
@@ -105,18 +107,20 @@ def _alternate(solver: KernelRidgeSolver, d: PLDataset, lams, cfg: TrainConfig) 
     P = np.repeat(P[:, None], lams.size, axis=1)  # P[:, i] is lams[live[i]]'s matrix
     deltas: list[list[float]] = [[] for _ in live]
     fits: list = [None] * lams.size
+    k = 0
     for it in range(cfg.max_iter):
-        k = live.size
+        if live.size != k:  # the first iteration, or a lam froze
+            k = live.size
+            slots, row_lams = _slots(np.repeat(mask, k, axis=0)), np.tile(lams[live], m)
         A, b = solver.solve(P.reshape(m, k * l))
         A, b = A.reshape(m, k, l), b.reshape(k, l)
-        Q = P - solver.beta * A
-        P_new = _update_rows(Q.reshape(m * k, l), np.repeat(mask, k, axis=0),
-                             np.tile(lams[live], m)).reshape(m, k, l)
+        P_new = _update_rows(P - solver.beta * A, slots, row_lams)
+        # each lam's change as one contiguous l x m block, so scipy's BLAS, like every
+        # other BLAS call in the loop (see ridge.py), reads it in one fixed order
+        D = np.ascontiguousarray((P_new - P).transpose(1, 2, 0))
         keep = []
         for i, lam_id in enumerate(live):
-            # scipy's BLAS, like every other BLAS call in the loop (see ridge.py),
-            # over the entries in one fixed (column-major) order
-            delta = float(dnrm2((P_new[:, i] - P[:, i]).ravel(order="F")))
+            delta = float(dnrm2(D[i].ravel()))
             deltas[lam_id].append(delta)
             if delta <= cfg.tol or it == cfg.max_iter - 1:
                 trace = TrainTrace(tuple(deltas[lam_id]), it + 1, delta <= cfg.tol)

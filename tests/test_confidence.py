@@ -14,6 +14,7 @@ import oracles
 from surepl.confidence import (
     ConfidenceVector,
     InfeasibleSupportError,
+    _slots,
     _update_rows,
     solve_op_exact,
     solve_opi,
@@ -22,6 +23,13 @@ from surepl.confidence import (
 )
 
 FULL_OBJ_SHIFT = 1e-12
+
+
+def _kernel(Q, Y, lam, anchors=None):
+    """The kernel on Q with the candidate mask Y and anchors given as labels."""
+    Y = np.asarray(Y, dtype=bool)
+    slot = None if anchors is None else np.cumsum(Y, axis=1)[np.arange(len(Y)), anchors] - 1
+    return _update_rows(Q, _slots(Y), lam, slot)
 
 
 def random_instance(rng, l_max=8):
@@ -281,6 +289,20 @@ class TestUpdateConfidenceMatrix:
             with pytest.raises(ValueError, match="finite"):
                 update_confidence_matrix([[bad, 0.2, 0.1]], [[1, 1, 0]], 0.3)
 
+    @pytest.mark.parametrize("solve", [
+        lambda: update_confidence_matrix([[1e308, 1e308]], [[1, 1]], 1.0),
+        lambda: update_confidence_matrix([[1.7e308] * 3], [[1, 1, 1]], 0.5),
+        lambda: update_confidence_matrix([[1e308, -1e308]], [[1, 1]], 0.0),
+        lambda: solve_ops([1e308, 1e308], [1, 1], 1e308),
+        lambda: solve_op_exact([1e308, -1e308], [1, 1], 0.0),
+        lambda: solve_opi([1e308, 1e308], [1, 1], 1.0, 1),
+    ], ids=["matrix-tie", "matrix-lambda", "matrix-signs", "ops", "exact", "opi"])
+    def test_overflowing_outputs_rejected(self, solve):
+        """Finite outputs whose prefix sums overflow would give a row summing
+        to 2 or a numpy overflow warning; they are refused by name."""
+        with pytest.raises(ValueError, match="outputs too large"):
+            solve()
+
     def test_empty_support_row_rejected(self):
         with pytest.raises(InfeasibleSupportError, match="row 1"):
             update_confidence_matrix(np.zeros((2, 3)), np.array([[1, 0, 0], [0, 0, 0]]), 0.1)
@@ -380,7 +402,7 @@ def test_kernel_matches_active_set_at_every_anchor(seed, l, lam):
     q = rng.integers(-4, 5, l) / 2.0
     anchors = np.flatnonzero(y)
     k = anchors.size
-    P = _update_rows(np.tile(q, (k, 1)), np.tile(y.astype(bool), (k, 1)), lam, anchors)
+    P = _kernel(np.tile(q, (k, 1)), np.tile(y.astype(bool), (k, 1)), lam, anchors)
     for p, j in zip(P, anchors):
         assert np.abs(p - oracles.active_set_opi(q, y, lam, j)).max() <= 1e-12
         assert abs(p.sum() - 1.0) <= 1e-12
@@ -401,7 +423,7 @@ def _kernel_and_argsort_oracle(rng, Q, per_row_lam, order):
     Q = np.asarray(Q, order=order)
     anchors = np.array([rng.choice(np.flatnonzero(y)) for y in Y])
     for a in (None, anchors):
-        P = _update_rows(Q, Y, lam, a)
+        P = _kernel(Q, Y, lam, a)
         ref = oracles.update_rows_argsort(Q, Y, lam, a)
         yield Q, Y, lam, a, P, ref
 
@@ -461,8 +483,52 @@ def test_pool_boundary_inside_a_tie():
     x = 0.8603286042588343
     Q = np.array([[0.015942371470798685, x, x, x, -0.9272510064242274, x]])
     Y = np.ones_like(Q, dtype=bool)
-    P = _update_rows(Q, Y, 0.0)
+    P = _kernel(Q, Y, 0.0)
     ref = oracles.update_rows_argsort(Q, Y, 0.0)
     assert not np.array_equal(P, ref)
     assert (P[0, [1, 2, 3, 5]] == P[0, 1]).all()
     assert len(set(ref[0, [1, 2, 3, 5]])) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 200), st.integers(1, 5),
+       st.sampled_from(["normal", "half"]))
+def test_kernel_matches_argsort_oracle_on_wide_sparse_rows(seed, l, most, kind):
+    """Up to 200 labels with 1 to 5 candidates a row: the slots hold only the
+    candidates, padded to the largest count, and the kernel keeps the bits of
+    the full-width oracle, at per-row lambdas and at surrogate and explicit
+    anchors.  Half-integers tie, but never at the pool boundary."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 40))
+    Y = np.zeros((rows, l), dtype=bool)
+    for y in Y:
+        y[rng.choice(l, int(rng.integers(1, min(most, l) + 1)), replace=False)] = True
+    if kind == "normal":
+        Q = rng.normal(0.0, 1.0, (rows, l)) / 3.0
+    else:
+        Q = rng.integers(-4, 5, (rows, l)) / 2.0
+    lam = rng.choice(LAMS, rows)
+    anchors = np.array([rng.choice(np.flatnonzero(y)) for y in Y])
+    for a in (None, anchors):
+        assert np.array_equal(_kernel(Q, Y, lam, a), oracles.update_rows_argsort(Q, Y, lam, a))
+
+
+def test_slots_hold_candidates_ascending_then_padding():
+    """Slot s of row i is its s-th candidate as the flat index i l + label;
+    padding takes the row's lowest non-candidates."""
+    flat, valid = _slots(np.array([[0, 1, 0, 1], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=bool))
+    assert np.array_equal(flat, [[1, 4, 8], [3, 5, 9], [0, 6, 10]])
+    assert np.array_equal(valid, [[1, 1, 1], [1, 0, 1], [0, 0, 1]])
+
+
+def test_kernel_without_rows_and_with_every_label_a_candidate():
+    """m = 0 gives an empty result of the input's width; c = l (no padding)
+    keeps the oracle's bits."""
+    P = update_confidence_matrix(np.zeros((0, 4)), np.zeros((0, 4)), 0.3)
+    assert P.shape == (0, 4)
+    rng = np.random.default_rng(12)
+    Q = rng.normal(0.0, 1.0, (50, 7))
+    Y = np.ones_like(Q, dtype=bool)
+    assert _slots(Y)[1].all()
+    for lam in (0.0, 0.3, rng.choice(LAMS, 50)):
+        assert np.array_equal(_kernel(Q, Y, lam), oracles.update_rows_argsort(Q, Y, lam))

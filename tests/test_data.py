@@ -1,5 +1,7 @@
 """Dataset container, PLD format round-trips, corruption, and fold splitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from surepl.data import (
     SyntheticSpec,
     corrupt,
     load_dataset,
+    read_lines,
     save_dataset,
     split_folds,
+    write_lines,
 )
+from surepl.ridge import KernelModel, save_model
 
 
 def tiny_dataset(truth=True):
@@ -162,6 +167,53 @@ class TestPldFormat:
         path.write_text("pld 1\n1 2 2\n0.0 | 1\n")
         with pytest.raises(FileFormatError, match="line 3"):
             load_dataset(path)
+
+
+class TestTextLines:
+    """read_lines and write_lines go through the file object line by line and
+    keep the bytes of reading and writing the whole text at once."""
+
+    @pytest.mark.parametrize("raw, lines", [
+        (b"a\r\nb\r\n", ["a", "b"]),  # CRLF and CR read as universal newlines
+        (b"a\rb\r", ["a", "b"]),
+        (b"a\nb", ["a", "b"]),  # no final LF
+        (b"a\n\n", ["a", ""]),
+        (b"\n", [""]),
+        (b"", []),
+    ])
+    def test_read(self, tmp_path, raw, lines):
+        path = tmp_path / "t.txt"
+        path.write_bytes(raw)
+        assert read_lines(path) == lines
+
+    @pytest.mark.parametrize("lines, raw", [
+        ([], b"\n"),  # no lines still write one empty line
+        ([""], b"\n"),
+        (["a", "b"], b"a\nb\n"),
+        (["x\u00e9", ""], "x\u00e9\n\n".encode()),
+    ])
+    def test_write_list_or_generator(self, tmp_path, lines, raw):
+        path = tmp_path / "t.txt"
+        for given in (lines, (line for line in lines)):
+            write_lines(path, given)
+            assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize("save", [
+        lambda d, path: save_dataset(d, path),
+        lambda d, path: save_model(KernelModel(d.features, d.features, d.features[0], 1.0), path),
+    ], ids=["dataset", "model"])
+    def test_writers_hold_no_copy_of_the_file(self, tmp_path, save):
+        """The writers stream their lines: peak memory stays far below the
+        size of the file they write."""
+        d = singleton_dataset(4000, 5, n=8)
+        path = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            save(d, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 8
 
 
 class TestCorrupt:

@@ -11,12 +11,12 @@ import pytest
 
 import oracles
 import surepl
-from surepl import kernel, ridge
+from surepl import kernel, ridge, training
 from surepl.data import PLDataset, SyntheticSpec, corrupt
 from surepl.harness import make_blobs_dataset
 from surepl.kernel import gram_matrix, mean_pairwise_distance
 from surepl.ridge import KernelModel, fit_kernel, model_outputs
-from surepl.confidence import update_confidence_matrix
+from surepl.confidence import _slots, _update_rows, update_confidence_matrix
 from surepl.training import TrainConfig, TrainTrace, predict, train, train_grid
 
 
@@ -62,6 +62,29 @@ class TestLockstep:
             assert np.abs(A - ref_model.A).max() <= 1e-9 * np.abs(ref_model.A).max()
             assert np.abs(b - ref_model.b).max() <= 1e-9
             assert np.abs(P - ref_P).max() <= 1e-9
+
+    def test_stacked_update_is_each_lambdas_own(self, monkeypatch):
+        """The one update over the m k stacked rows gives each live lambda the
+        bits of its own update, before and after lambdas freeze (k goes 3, 2,
+        1): the stacked slots and per-row lambdas follow the live set."""
+        clean = make_blobs_dataset(90, classes=4, separation=4.0, spread=1.0, seed=3)
+        d = corrupt(clean, SyntheticSpec(p=0.8, r=2, mode="random", seed=4))
+        lams = np.array([0.0, 0.3, 5.0])  # they stop after 31, 16 and 5 iterations
+        own_slots = _slots(d.candidates.astype(bool))
+        ks = []
+
+        def update(Q, slots, lam):
+            P = _update_rows(Q, slots, lam)
+            k = Q.shape[1]
+            assert np.array_equal(lam, np.tile(lams[:k], d.m))
+            for i in range(k):
+                assert np.array_equal(P[:, i], _update_rows(Q[:, i].copy(), own_slots, lams[i]))
+            ks.append(k)
+            return P
+
+        monkeypatch.setattr(training, "_update_rows", update)
+        train_grid(d, lams, [0.05], TrainConfig(beta=0.05))
+        assert ks == [3] * 5 + [2] * 11 + [1] * 15
 
     def test_grid_holds_k_and_one_factor(self):
         """Each earlier beta factors an unnamed copy of K and the last beta K

@@ -1,7 +1,8 @@
 """Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
 grid search, cv reports, each CLI subcommand's files and stdout, bandwidths, the messages
-of bad calls); surepl comes from this checkout's `src/`, files go to a temporary directory.  Compare
-checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
+of bad calls, the confidence kernel on a wide sparse set); surepl comes from this
+checkout's `src/`, files go to a temporary directory.  Compare checkouts at one BLAS
+thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
 
 import contextlib
 import hashlib
@@ -9,6 +10,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CLI = [  # (argv with {file} slots, the files it writes)
     ("gen --in {clean} --out {pl} --p 0.7 --r 2 --seed 1", "pl"),
@@ -101,6 +104,17 @@ def main():
         lambda: surepl.mae_at_k([0], [0], k=None),
     ]
     show("errors", *map(error, bad_calls))
+    # the confidence updates of 500 rows of 120 labels with 1 to 4 candidates each: outputs
+    # in quarters, so rows tie, at three lambdas, and the exact program at one lambda per row
+    rng = np.random.default_rng(3)
+    Y = np.zeros((500, 120), dtype=np.uint8)
+    for y in Y:
+        y[rng.choice(120, rng.integers(1, 5), replace=False)] = 1
+    Q = rng.integers(-6, 7, Y.shape) / 4.0
+    exact = [surepl.solve_op_exact(q, y, lam)
+             for q, y, lam in zip(Q, Y, rng.choice([0.0, 0.05, 0.3, 1.0, 5.0], 500))]
+    show("confidence", *(surepl.update_confidence_matrix(Q, Y, lam) for lam in (0.0, 0.3, 5.0)),
+         *(r.p.p for r in exact), repr([(r.objective, r.anchor) for r in exact]))
 
 
 if __name__ == "__main__":
