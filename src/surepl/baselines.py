@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import PLDataset, check_count, check_query
+from .data import PLDataset, check_config, check_count, check_query
 from .kernel import row_blocks
 
 __all__ = ["KnnConfig", "plknn_predict"]
@@ -46,7 +46,7 @@ def plknn_predict(train: PLDataset, X_query, cfg: KnnConfig) -> np.ndarray:
     the row blocks of `kernel.row_blocks`, so no more than one block of
     query-to-training distances is held at a time.
     """
-    if cfg.k >= train.m:
+    if check_config(cfg, KnnConfig, "cfg").k >= train.m:
         raise ValueError(f"k={cfg.k} must be smaller than the {train.m} training instances")
     X_query = check_query(X_query, train.n)
     pred = np.empty(X_query.shape[0], dtype=np.intp)

@@ -19,7 +19,8 @@ anchor, and `update_confidence_matrix` (and the training loop) on a whole
 output matrix at the surrogate anchors.  It works on each row's candidates
 alone (`_slots`), so its cost follows the largest candidate count, not the
 label count.  Padding enters it as -inf, which sorts last and runs through
-its sums and means without a NaN.  Outputs whose sums could overflow are refused.
+its sums and means without a NaN.  Outputs whose sums could overflow are refused,
+and so are outputs whose objective could, by the solvers that report one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_real
+from .data import InfeasibleSupportError, check_candidates, check_real, lock_fields
 
 __all__ = [
     "ConfidenceVector",
@@ -43,10 +44,6 @@ __all__ = [
 FEAS_TOL = 1e-9
 
 
-class InfeasibleSupportError(ValueError):
-    """The candidate support makes the constraint polytope empty."""
-
-
 @dataclass(frozen=True)
 class ConfidenceVector:
     """A label-confidence row supported on its candidate set.
@@ -59,20 +56,15 @@ class ConfidenceVector:
     support: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        sup = np.asarray(self.support, dtype=np.uint8)
+        p = np.array(self.p, dtype=np.float64)
+        sup = np.array(self.support, dtype=np.uint8)
         if p.shape != sup.shape or p.ndim != 1:
             raise ValueError("p and support must be 1-D arrays of equal length")
         if (p < -FEAS_TOL).any() or (p > sup + FEAS_TOL).any():
             raise ValueError("confidence outside [0, support]")
         if abs(p.sum() - 1.0) > FEAS_TOL:
             raise ValueError(f"confidences sum to {p.sum()!r}, not 1")
-        p = p.copy()
-        sup = sup.copy()
-        p.setflags(write=False)
-        sup.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "support", sup)
+        lock_fields(self, p=p, support=sup)
 
 
 @dataclass(frozen=True)
@@ -88,25 +80,18 @@ class QPResult:
 
 
 def _check_inputs(Q, Y, lam):
-    """Q as float64 and Y as a C-ordered bool candidate mask after the
-    checks every public entry shares; single-row solvers pass 1 x l matrices."""
+    """Q as float64 and Y's bool mask (`check_candidates`) after the checks every
+    public entry shares; single-row solvers pass 1 x l matrices."""
+    Yb = check_candidates(Y)
     Q = np.asarray(Q, dtype=np.float64)
-    Y = np.asarray(Y)
-    if Q.ndim != 2 or Y.shape != Q.shape or not Q.shape[1]:
-        raise ValueError("outputs and supports must be equal-shape m x l arrays, m >= 0, l >= 1")
+    if Q.shape != Yb.shape:
+        raise ValueError(f"outputs of shape {Q.shape} do not match candidates of shape {Yb.shape}")
     if not np.isfinite(Q).all():
         raise ValueError("outputs must be finite")
-    if not np.isin(Y, (0, 1)).all():
-        raise ValueError("support entries must be 0 or 1")
     check_real(lam, "lambda")
     # every prefix sum the kernel takes is at most l (max|q| + lambda / 2) in magnitude
     if not np.isfinite(Q.shape[1] * (float(np.abs(Q).max(initial=0.0)) + float(lam) / 2.0)):
         raise ValueError("outputs too large: l * (max |output| + lambda / 2) overflows float64")
-    Yb = Y.astype(bool, order="C")
-    empty = ~Yb.any(axis=1)
-    if empty.any():
-        bad = int(np.flatnonzero(empty)[0])
-        raise InfeasibleSupportError(f"row {bad} has an empty candidate set")
     return Q, Yb
 
 
@@ -127,8 +112,13 @@ def _best_anchored(Q, Yb, lam: float, anchors) -> QPResult:
 
 
 def _check_row(q, y, lam):
-    """_check_inputs on the single example (q, y), as a 1 x l matrix."""
-    return _check_inputs(np.asarray(q)[None], np.asarray(y)[None], lam)
+    """_check_inputs on the example (q, y) as a 1 x l matrix, whose objective must
+    be finite too: with p in [0, 1], ||p - q||^2 is at most l (max|q| + 1)^2."""
+    Q, Yb = _check_inputs(np.asarray(q)[None], np.asarray(y)[None], lam)
+    bound = float(np.abs(Q).max()) + 1.0
+    if not np.isfinite(Q.shape[1] * bound * bound):
+        raise ValueError("outputs too large: l * (max |output| + 1)^2 overflows float64")
+    return Q, Yb
 
 
 def solve_opi(q, y, lam: float, j: int) -> QPResult:

@@ -11,6 +11,12 @@ decimals, so writing then reading a float is bit-exact) and `parse_floats`
 (token count, parse and finiteness).  Malformed input raises
 `FileFormatError`, whose message names the offending line.
 
+Every input rule is written once, here, and fails by a ValueError naming its
+argument: counts (`check_count`), finite reals (`check_real`), bandwidths
+(`check_sigma`), configs (`check_config`), candidate matrices
+(`check_candidates`), the headers of PLD and model files (`read_header`) and
+the read-only arrays of frozen records (`lock_fields`).
+
 PLD format::
 
     pld 1
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -44,7 +51,13 @@ __all__ = [
     "check_query",
     "check_count",
     "check_real",
+    "check_sigma",
+    "check_config",
+    "check_candidates",
     "is_real",
+    "read_header",
+    "lock_fields",
+    "InfeasibleSupportError",
     "corrupt",
     "split_folds",
 ]
@@ -58,6 +71,10 @@ class FileFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} at line {line}")
         self.line = line
+
+
+class InfeasibleSupportError(ValueError):
+    """The candidate support makes the constraint polytope empty."""
 
 
 def read_lines(path) -> list[str]:
@@ -97,6 +114,24 @@ def parse_floats(tokens, width: int, line: int, what: str) -> list[float]:
     return values
 
 
+def read_header(lines: list[str], magic: str, bandwidth: bool = False) -> list:
+    """[m, n, l], and sigma if `bandwidth`, from a file's `lines`: line 1 is `magic`
+    once stripped, line 2 counts of at least 1 (`check_count`) and the bandwidth
+    (`check_sigma`); else FileFormatError at line 1 or 2, with the field's message."""
+    if not lines or lines[0].strip() != magic:
+        raise FileFormatError(f"malformed header: expected {magic!r}", 1)
+    names = ["m", "n", "l", "sigma"][:4 if bandwidth else 3]
+    tokens = lines[1].split() if len(lines) > 1 else []
+    try:
+        if len(tokens) != len(names):
+            raise ValueError(f"{len(tokens)} fields")
+        return [check_sigma(float(token)) if name == "sigma" else check_count(int(token), name, 1)
+                for token, name in zip(tokens, names)]
+    except ValueError as exc:
+        usage = " ".join(f"<{name}>" for name in names)
+        raise FileFormatError(f"malformed header ({exc}): expected '{usage}'", 2) from None
+
+
 def check_count(value, name: str, least: int):
     """`value` if it is an integer (Python or numpy, not a bool) of at least
     `least`; anything else raises ValueError naming `name`."""
@@ -110,17 +145,57 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite(value, positive: bool) -> bool:
+    """Whether `value` is a real number (`is_real`), nonnegative (positive if
+    `positive`) and at most the largest float: not NaN, nor an int beyond it."""
+    top = sys.float_info.max
+    return is_real(value) and (0 < value <= top if positive else 0 <= value <= top)
+
+
 def check_real(value, name: str, positive: bool = False) -> None:
-    """Raise ValueError naming `name` unless `value` is a real number (`is_real`),
-    finite and nonnegative, or positive if `positive`; NaN is neither."""
-    if not (is_real(value) and (0 < value < np.inf if positive else 0 <= value < np.inf)):
+    """Raise ValueError naming `name` unless `value` is a finite real number,
+    nonnegative, or positive if `positive`."""
+    if not _finite(value, positive):
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def check_sigma(sigma, name: str = "sigma"):
+    """`sigma` if it is a finite positive real with 2 sigma^2 > 0, so the Gaussian
+    kernel's exponent divides by a nonzero number; else ValueError naming `name`."""
+    if not (_finite(sigma, positive=True) and 2.0 * sigma * sigma > 0):
+        raise ValueError(f"{name} must be finite and positive with 2 sigma^2 > 0, got {sigma}")
+    return sigma
+
+
+def check_config(config, kind: type, name: str):
+    """`config` if it is a `kind`; anything else raises ValueError naming `name`."""
+    if not isinstance(config, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(config).__name__}")
+    return config
+
+
+def check_candidates(candidates) -> np.ndarray:
+    """A new C-ordered bool mask of a 2-D 0/1 candidate matrix of l >= 1 labels;
+    else ValueError, or InfeasibleSupportError naming a row without a candidate."""
+    Y = np.asarray(candidates)
+    if Y.ndim != 2 or Y.shape[1] < 1:
+        raise ValueError(f"candidate matrix must be m x l with l >= 1, got shape {Y.shape}")
+    mask = Y.astype(bool, order="C")
+    if not (mask == Y).all():  # an entry equal to its truth value is 0 or 1 (isin is slower)
+        raise ValueError("candidate matrix entries must be 0 or 1")
+    rows = mask @ np.ones(Y.shape[1], dtype=bool)  # any per row, faster than any(axis=1)
+    if not rows.all():
+        raise InfeasibleSupportError(f"empty candidate set in row {int(np.argmin(rows))}")
+    return mask
+
+
+def lock_fields(record, **values) -> None:
+    """Set the frozen dataclass `record`'s fields to `values`, its arrays read-only."""
+    for field, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, field, value)
 
 
 @dataclass(frozen=True)
@@ -143,25 +218,14 @@ class PLDataset:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64)
-        cands = np.array(self.candidates)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a non-empty 2-D matrix")
         if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        if cands.ndim != 2 or cands.shape[0] != feats.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: {feats.shape[0]} feature rows vs "
-                f"{cands.shape[0] if cands.ndim == 2 else '?'} candidate rows"
-            )
-        if cands.shape[1] < 1:
-            raise ValueError("candidate matrix needs at least one label column")
-        if not np.isin(cands, (0, 1)).all():
-            raise ValueError("candidate matrix entries must be 0 or 1")
-        cands = cands.astype(np.uint8)
-        row_sizes = cands.sum(axis=1)
-        if (row_sizes == 0).any():
-            bad = int(np.flatnonzero(row_sizes == 0)[0])
-            raise ValueError(f"empty candidate set in row {bad}")
+        cands = check_candidates(self.candidates).view(np.uint8)  # a new array of 0s and 1s
+        if len(cands) != len(feats):
+            raise ValueError(f"dimension mismatch: {len(feats)} feature rows vs "
+                             f"{len(cands)} candidate rows")
         truth = self.truth
         if truth is not None:
             truth = np.array(truth, dtype=np.int64)
@@ -172,10 +236,7 @@ class PLDataset:
             if not cands[np.arange(len(truth)), truth].all():
                 bad = int(np.flatnonzero(~cands[np.arange(len(truth)), truth].astype(bool))[0])
                 raise ValueError(f"truth label outside candidate set in row {bad}")
-            truth = _locked(truth)
-        object.__setattr__(self, "features", _locked(feats))
-        object.__setattr__(self, "candidates", _locked(cands))
-        object.__setattr__(self, "truth", truth)
+        lock_fields(self, features=feats, candidates=cands, truth=truth)
 
     @property
     def m(self) -> int:
@@ -335,17 +396,7 @@ def save_dataset(d: PLDataset, path) -> None:
 def load_dataset(path) -> PLDataset:
     """Parse a PLD file; malformed input raises FileFormatError naming the line."""
     lines = read_lines(path)
-    if not lines or lines[0].strip() != PLD_MAGIC:
-        raise FileFormatError(f"malformed header: expected {PLD_MAGIC!r}", 1)
-    dims = lines[1].split() if len(lines) > 1 else []
-    if len(dims) != 3:
-        raise FileFormatError("malformed header: expected '<m> <n> <l>'", 2)
-    try:
-        m, n, l = map(int, dims)
-    except ValueError:
-        raise FileFormatError("malformed header: dimensions must be integers", 2) from None
-    if m < 1 or n < 1 or l < 1:
-        raise FileFormatError("malformed header: dimensions must be positive", 2)
+    m, n, l = read_header(lines, PLD_MAGIC)
     if len(lines) - 2 != m:
         raise FileFormatError(
             f"dimension mismatch: header declares {m} rows, file has {len(lines) - 2}", 2

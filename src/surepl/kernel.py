@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import is_real
+from .data import check_sigma
 
 __all__ = ["mean_pairwise_distance", "gram_matrix", "packed_gram"]
 
@@ -25,15 +25,6 @@ PACK_WIDTH = 64
 ROW_BLOCK_BYTES = 2 * 2**20
 # LAPACK's RFP layout arguments for every packed matrix: the lower triangle, not transposed
 RFP = {"transr": "N", "uplo": "L"}
-
-
-def check_sigma(sigma, name: str = "sigma"):
-    """`sigma` if it is a Gaussian bandwidth: positive and finite, with 2 sigma^2
-    > 0, so the kernel's exponent divides by a nonzero number; anything else
-    raises ValueError naming `name`."""
-    if not (is_real(sigma) and 0 < sigma < np.inf and 2.0 * sigma * sigma > 0):
-        raise ValueError(f"{name} must be finite and positive with 2 sigma^2 > 0, got {sigma}")
-    return sigma
 
 
 def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:

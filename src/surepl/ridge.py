@@ -43,9 +43,9 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dger
 from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
-from .data import (FileFormatError, check_count, check_query, check_real, format_float,
-                   parse_floats, read_lines, write_lines)
-from .kernel import RFP, check_sigma, gram_matrix, packed_diagonal, row_blocks
+from .data import (FileFormatError, check_query, check_real, check_sigma, format_float,
+                   lock_fields, parse_floats, read_header, read_lines, write_lines)
+from .kernel import RFP, gram_matrix, packed_diagonal, row_blocks
 
 __all__ = [
     "KernelModel",
@@ -88,11 +88,7 @@ class KernelModel:
             raise ValueError("b must have one entry per label")
         if not (np.isfinite(X).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("model parameters must be finite")
-        check_sigma(self.sigma)
-        for field, arr in (("train_X", X), ("A", A), ("b", b)):
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        lock_fields(self, train_X=X, A=A, b=b, sigma=float(check_sigma(self.sigma)))
 
 
 def _packed_solve(factor: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -296,16 +292,7 @@ def save_model(model: KernelModel, path) -> None:
 def load_model(path) -> KernelModel:
     """Parse a model file; malformed input raises FileFormatError naming the line."""
     lines = read_lines(path)
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise FileFormatError(f"not a model file: expected header {MODEL_MAGIC!r}", 1)
-    try:
-        m, n, l, sigma = (lines[1] if len(lines) > 1 else "").split()
-        m, n, l = (check_count(int(v), name, 1) for v, name in zip((m, n, l), "mnl"))
-        sigma = check_sigma(float(sigma))
-    except ValueError as exc:
-        raise FileFormatError(
-            f"malformed model header ({exc}): expected '<m> <n> <l> <sigma>'", 2
-        ) from None
+    m, n, l, sigma = read_header(lines, MODEL_MAGIC, bandwidth=True)
     if len(lines) != 2 * m + 3:
         raise FileFormatError(
             f"dimension mismatch: header declares {m} rows, so {2 * m + 3} lines, "

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg.blas import dnrm2
 
 from .confidence import _slots, _update_rows
-from .data import PLDataset, check_count, check_real
-from .kernel import check_sigma, packed_gram
+from .data import PLDataset, check_config, check_count, check_real, check_sigma
+from .kernel import packed_gram
 from .ridge import KernelModel, KernelRidgeSolver, model_outputs
 
 __all__ = ["TrainConfig", "TrainTrace", "train", "predict"]
@@ -143,6 +143,7 @@ def train_grid(d: PLDataset, lams, betas, base: TrainConfig) -> list[list[tuple]
     and that beta's lambdas run in lockstep on its factor (see `_alternate`).
     Deterministic given the dataset and the arguments.
     """
+    check_config(base, TrainConfig, "base")
     if not [replace(base, lam=lam, beta=beta) for beta in betas for lam in lams]:
         raise ValueError("grids must be nonempty")
     X = d.features
@@ -159,6 +160,7 @@ def train(d: PLDataset, cfg: TrainConfig) -> tuple[KernelModel, np.ndarray, Trai
 
     Deterministic given the dataset and cfg.
     """
+    check_config(cfg, TrainConfig, "cfg")
     [[fit]] = train_grid(d, [cfg.lam], [cfg.beta], cfg)
     return fit
 

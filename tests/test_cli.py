@@ -271,6 +271,8 @@ MALFORMED_DATA = [
     (_with(VALID_DATA, 2, "2 1 1000000000000"), 2),
     ("pld 1\n2 1 1000000000000000000000000000000\n0.0 | 1 | 1\n"
      "1.0 | 1,100000000000000000000000 | 1\n", 2),
+    (_with(VALID_DATA, 2, "2 0 2"), 2),
+    (_with(VALID_DATA, 2, "2.0 1 2"), 2),
 ]
 # every command that reads a PLD file
 DATA_COMMANDS = ("train", "gen", "cv-plknn", "cv-sure", "grid")
@@ -284,6 +286,7 @@ MALFORMED_INPUTS = [
     ("predict", "model", _with(VALID_MODEL, 2, "0 1 2 1.5"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 0 2 1.5"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 0 1.5"), 2),
+    ("predict", "model", _with(VALID_MODEL, 2, "2.0 1 2 1.5"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 nan"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 inf"), 2),
     ("predict", "model", _with(VALID_MODEL, 2, "2 1 2 -1.0"), 2),

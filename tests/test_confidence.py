@@ -21,6 +21,7 @@ from surepl.confidence import (
     solve_ops,
     update_confidence_matrix,
 )
+from surepl.data import PLDataset
 
 FULL_OBJ_SHIFT = 1e-12
 
@@ -273,7 +274,7 @@ class TestUpdateConfidenceMatrix:
         P = update_confidence_matrix([[1.0, -0.0]], [[1, 1]], 0.0)
         assert P.tobytes() == np.array([[1.0, 0.0]]).tobytes()
 
-    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("solve", [
         lambda lam: update_confidence_matrix([[0.2, 0.5, 0.1]], [[1, 1, 0]], lam),
         lambda lam: solve_ops([0.2, 0.5, 0.1], [1, 1, 0], lam),
@@ -296,12 +297,45 @@ class TestUpdateConfidenceMatrix:
         lambda: solve_ops([1e308, 1e308], [1, 1], 1e308),
         lambda: solve_op_exact([1e308, -1e308], [1, 1], 0.0),
         lambda: solve_opi([1e308, 1e308], [1, 1], 1.0, 1),
-    ], ids=["matrix-tie", "matrix-lambda", "matrix-signs", "ops", "exact", "opi"])
+        # the objective ||p - q||^2 would overflow, though the kernel's sums do not
+        lambda: solve_ops([1e200, 0.0], [1, 1], 0.0),
+        lambda: solve_op_exact([1e200, 0.0], [1, 1], 0.0),
+        lambda: solve_opi([1e200, 0.0], [1, 1], 0.0, 1),
+        lambda: solve_op_exact([-1.4e154, 0.0, 0.0], [1, 1, 1], 0.0),
+    ], ids=["matrix-tie", "matrix-lambda", "matrix-signs", "ops", "exact", "opi",
+            "ops-objective", "exact-objective", "opi-objective", "exact-objective-l3"])
     def test_overflowing_outputs_rejected(self, solve):
         """Finite outputs whose prefix sums overflow would give a row summing
         to 2 or a numpy overflow warning; they are refused by name."""
         with pytest.raises(ValueError, match="outputs too large"):
             solve()
+
+    def test_huge_outputs_update_without_objective(self):
+        """update_confidence_matrix reports no objective, so outputs whose
+        objective would overflow still update."""
+        P = update_confidence_matrix([[1e200, 0.0]], [[1, 1]], 0.0)
+        assert np.array_equal(P, [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("Y, message", [
+        ([[1, 0], [0, 0]], "empty candidate set in row 1"),
+        ([[1, 2], [0, 1]], "candidate matrix entries must be 0 or 1"),
+        ([[], []], r"must be m x l with l >= 1, got shape \(2, 0\)"),
+    ], ids=["empty-row", "entry-2", "no-column"])
+    def test_candidate_rule_shared_with_dataset(self, Y, message):
+        """PLDataset and the confidence update refuse a bad candidate matrix
+        with one error; an empty row is InfeasibleSupportError in both."""
+        Y = np.array(Y, dtype=int)
+        with pytest.raises(ValueError, match=message) as dataset:
+            PLDataset(np.zeros((2, 1)), Y)
+        with pytest.raises(ValueError, match=message) as update:
+            update_confidence_matrix(np.zeros(Y.shape), Y, 0.1)
+        assert type(dataset.value) is type(update.value)
+        assert str(dataset.value) == str(update.value)
+        if "empty" in message:
+            assert type(update.value) is InfeasibleSupportError
+            for solve in (solve_ops, solve_op_exact, lambda q, y, lam: solve_opi(q, y, lam, 0)):
+                with pytest.raises(InfeasibleSupportError, match="empty candidate set in row 0"):
+                    solve(np.zeros(2), Y[1], 0.1)
 
     def test_empty_support_row_rejected(self):
         with pytest.raises(InfeasibleSupportError, match="row 1"):

@@ -1,5 +1,6 @@
 """Dataset container, PLD format round-trips, corruption, and fold splitting."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from surepl.data import (
     split_folds,
     write_lines,
 )
-from surepl.ridge import KernelModel, save_model
+from surepl.confidence import ConfidenceVector
+from surepl.ridge import KernelModel, load_model, save_model
 
 
 def tiny_dataset(truth=True):
@@ -58,6 +60,25 @@ class TestPLDataset:
         d = tiny_dataset()
         with pytest.raises(ValueError):
             d.features[0, 0] = 7.0
+
+    @pytest.mark.parametrize("make, arrays, views", [
+        (PLDataset, lambda: (np.ones((2, 2)), np.array([[1, 0], [1, 1]], dtype=np.uint8),
+                             np.array([0, 1])), False),
+        (lambda X, A, b: KernelModel(X, A, b, 1.0),
+         lambda: (np.ones((2, 2)), np.zeros((2, 3)), np.zeros(3)), True),
+        (ConfidenceVector, lambda: (np.array([0.25, 0.75]), np.array([1, 1], dtype=np.uint8)),
+         False),
+    ], ids=["PLDataset", "KernelModel", "ConfidenceVector"])
+    def test_records_lock_their_arrays(self, make, arrays, views):
+        """Every record's arrays are read-only; KernelModel holds views of the
+        caller's arrays, which stay writable, and the others hold copies."""
+        given = arrays()
+        record = make(*given)
+        held = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        assert len(held) == len(given)
+        assert not any(a.flags.writeable for a in held)
+        assert all(a.flags.writeable for a in given)
+        assert [np.shares_memory(a, b) for a, b in zip(held, given)] == [views] * len(given)
 
     def test_subset_keeps_rows(self):
         d = tiny_dataset()
@@ -167,6 +188,43 @@ class TestPldFormat:
         path.write_text("pld 1\n1 2 2\n0.0 | 1\n")
         with pytest.raises(FileFormatError, match="line 3"):
             load_dataset(path)
+
+
+PLD_LINES = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
+MODEL_LINES = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
+LOADERS = pytest.mark.parametrize("load, lines", [(load_dataset, PLD_LINES),
+                                                  (load_model, MODEL_LINES)], ids=["pld", "model"])
+
+
+class TestHeaders:
+    """PLD and model files share one header rule: the magic line compared after
+    stripping whitespace, and each field of line 2 checked by its own rule."""
+
+    @LOADERS
+    def test_magic_line_stripped(self, tmp_path, load, lines):
+        path = tmp_path / "f"
+        path.write_text("\n".join([f"{lines[0]} ", *lines[1:]]) + "\n")
+        load(path)
+        path.write_text("\n".join([f"\t{lines[0]}\t", *lines[1:]]) + "\n")
+        load(path)
+
+    @LOADERS
+    @pytest.mark.parametrize("index, token, message", [
+        (0, "0", "m must be at least 1 and an integer, got 0"),
+        (1, "0", "n must be at least 1 and an integer, got 0"),
+        (2, "-3", "l must be at least 1 and an integer, got -3"),
+        (0, "2.0", "invalid literal for int() with base 10: '2.0'"),
+        (1, None, "fields"),
+    ])
+    def test_bad_field_named_at_line_2(self, tmp_path, load, lines, index, token, message):
+        fields = lines[1].split()
+        fields[index:index + 1] = [] if token is None else [token]
+        path = tmp_path / "f"
+        path.write_text("\n".join([lines[0], " ".join(fields), *lines[2:]]) + "\n")
+        usage = "<m> <n> <l> <sigma>" if load is load_model else "<m> <n> <l>"
+        with pytest.raises(FileFormatError, match=re.escape(message) + r".*: expected "
+                           + re.escape(f"'{usage}' at line 2")):
+            load(path)
 
 
 class TestTextLines:

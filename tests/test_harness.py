@@ -64,7 +64,14 @@ class TestMaeAtK:
         with pytest.raises(ValueError, match="no value mapping"):
             mae_at_k([0, 1], [0, 2], {0: 1.0, 1: 2.0}, 1.0)
 
-    @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf, None])
+    @pytest.mark.parametrize("value", ["a", None, True])
+    def test_values_must_be_real(self, value):
+        """A mapped value that is not a real number fails by name, not in numpy."""
+        with pytest.raises(ValueError, match="values must map each label to a real number"):
+            mae_at_k([0, 1], [0, 1], {0: 1.0, 1: value}, 1)
+
+    @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf, None,
+                                   pytest.param(10**400, id="10**400")])
     def test_k_must_be_finite_and_nonnegative(self, k):
         with pytest.raises(ValueError, match=f"k must be finite and nonnegative, got {k}"):
             mae_at_k([0, 1], [0, 1], None, k)
@@ -154,6 +161,28 @@ BAD_COUNTS = [
 @pytest.mark.parametrize("call, message", BAD_COUNTS, ids=[
     "cv-folds", "cv-seed", "grid-inner-folds", "blobs-m", "blobs-n-features"])
 def test_bad_count_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(corrupted_blobs(0, m=30))
+
+
+# (a call given the other algorithm's config, the message that must name it)
+BAD_CONFIGS = [
+    (lambda d: cross_validate(d, "sure", KnnConfig(), 3, 0),
+     "cfg must be a TrainConfig, got KnnConfig"),
+    (lambda d: cross_validate(d, "plknn", TrainConfig(), 3, 0),
+     "cfg must be a KnnConfig, got TrainConfig"),
+    (lambda d: grid_search(d, (0.1,), (0.1,), 3, 0, base=KnnConfig()),
+     "base must be a TrainConfig, got KnnConfig"),
+    (lambda d: nested_cross_validate(d, (0.1,), (0.1,), 2, 2, 0, base=KnnConfig()),
+     "base must be a TrainConfig, got KnnConfig"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_CONFIGS, ids=[
+    "cv-sure", "cv-plknn", "grid", "nested"])
+def test_wrong_config_named(call, message):
+    """A config of the wrong class fails by name where it is first used, not
+    with an AttributeError or a TypeError from inside."""
     with pytest.raises(ValueError, match=message):
         call(corrupted_blobs(0, m=30))
 
@@ -313,8 +342,9 @@ class TestReportSerialization:
         (lambda p: {}, "lacks key 'algo'"),
         (lambda p: {k: v for k, v in p.items() if k != "std"}, "lacks key 'std'"),
         (lambda p: {**p, "folds": "2"}, "'folds' must be an integer"),
-        (lambda p: {**p, "mean": True}, "'mean' must be a number"),
-        (lambda p: {**p, "per_fold_accuracy": [0.5, "x"]}, "'per_fold_accuracy'"),
+        (lambda p: {**p, "mean": True}, "mean must be finite and nonnegative, got True"),
+        (lambda p: {**p, "per_fold_accuracy": [0.5, "x"]},
+         r"per_fold_accuracy\[1\] must be finite and nonnegative, got x"),
         (lambda p: {**p, "traces": [{"delta_p": [0.1]}]}, "'traces'"),
         (lambda p: {**p, "std": float("nan")}, "finite"),
         (lambda p: {**p, "per_fold_accuracy": [0.5, float("inf")]}, "finite"),
@@ -322,7 +352,13 @@ class TestReportSerialization:
         (lambda p: {**p, "per_fold_accuracy": [], "mean": 0.0}, "must not be empty"),
         (lambda p: {**p, "folds": 10}, "folds=10 disagrees with 2"),
         (lambda p: {**p, "per_fold_accuracy": [1.5, -0.7], "mean": 0.4,
-                    "std": 1.5556349186104046}, "per_fold_accuracy entries must lie in"),
+                    "std": 1.5556349186104046},
+         r"per_fold_accuracy\[1\] must be finite and nonnegative, got -0.7"),
+        (lambda p: {**p, "per_fold_accuracy": [1.5, 0.5], "mean": 1.0,
+                    "std": 0.7071067811865476}, "per_fold_accuracy entries must lie in"),
+        (lambda p: {**p, "per_fold_accuracy": [0.5, 10**400]},
+         r"per_fold_accuracy\[1\] must be finite and nonnegative, got 1000"),
+        (lambda p: {**p, "std": 10**400}, "std must be finite and nonnegative, got 1000"),
         (lambda p: {**p, "std": 5}, "std inconsistent"),
     ])
     def test_malformed_payload_names_key(self, edit, message):

@@ -488,7 +488,7 @@ class TestModelSerialization:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("who knows\n")
-        with pytest.raises(ValueError, match="model file"):
+        with pytest.raises(ValueError, match="malformed header: expected 'sure-model 1' at line 1"):
             load_model(path)
 
     @pytest.mark.parametrize("header", ["", "3 2 x 1.5", "3 2.5 2 1.5", "3 2 2", "3 2 2 wide"])

@@ -296,11 +296,27 @@ class TestTrain:
             ({"beta": None}, "beta must be finite and positive, got None"),
             ({"sigma_override": "1"},
              r"sigma_override must be finite and positive with 2 sigma\^2 > 0, got 1"),
+            # ints beyond float64 are not finite, and fail by name, not with OverflowError
+            ({"lam": 10**400}, "lam must be finite and nonnegative, got 1000"),
+            ({"beta": 10**400}, "beta must be finite and positive, got 1000"),
+            ({"tol": 10**400}, "tol must be finite and positive, got 1000"),
+            ({"sigma_override": 10**400},
+             r"sigma_override must be finite and positive with 2 sigma\^2 > 0, got 1000"),
         ]:
             with pytest.raises(ValueError, match=message):
                 TrainConfig(**kwargs)
         with pytest.raises(ValueError):
             TrainTrace((1.0,), 2, False)
+
+    def test_config_type_checked(self):
+        """train and train_grid take a TrainConfig and name any other object."""
+        from surepl.baselines import KnnConfig
+
+        d = PLDataset(np.array([[0.0], [1.0], [2.0]]), np.eye(2, dtype=int)[[0, 1, 0]])
+        with pytest.raises(ValueError, match="cfg must be a TrainConfig, got KnnConfig"):
+            train(d, KnnConfig())
+        with pytest.raises(ValueError, match="base must be a TrainConfig, got dict"):
+            train_grid(d, [0.1], [0.1], {"lam": 0.1})
 
 
 class TestPredict:

@@ -1,14 +1,17 @@
 """Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
 grid search, cv reports, each CLI subcommand's files and stdout, bandwidths, the messages
-of bad calls, the confidence kernel on a wide sparse set); surepl comes from this
-checkout's `src/`, files go to a temporary directory.  Compare checkouts at one BLAS
-thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`."""
+of bad calls, the confidence kernel on a wide sparse set, the messages of bad inputs);
+surepl comes from this checkout's `src/`, files go to a temporary directory.  Compare
+checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`.
+To list which bad-input messages a change moves, print `input_errors` in each checkout."""
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,77 @@ def error(call):
     except Exception as exc:  # recorded, whatever its type
         return f"{type(exc).__name__}: {exc}\n"
     return "no error\n"
+
+
+PLD = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
+MODEL = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
+REPORT = {"algo": "plknn", "config": {"k": 3}, "folds": 2, "mean": 0.6,
+          "per_fold_accuracy": [0.5, 0.7], "seed": 0, "std": 0.14142135623730948}
+
+
+def edited(lines, line, text):
+    """The file text of `lines` with 1-based `line` replaced by `text`."""
+    return "".join(f"{t}\n" for t in lines[:line - 1] + [text] + lines[line:])
+
+
+BAD_FILES = [  # (loader, text): one text per way a file can be malformed
+    *(("load_dataset", edited(PLD, line, text)) for line, text in [
+        (1, "nope"), (1, "pld 1 "), (2, "2 0 2"), (2, "2.0 1 2"), (2, "2 1"), (2, "3 1 2"),
+        (2, "2 1 1000000000000"), (3, "nan | 1 | 1"), (3, "0.0 1 | 1 | 1"), (4, "1.0 |  "),
+        (4, "1.0 | 2,1 | 2"), (4, "1.0 | 1,3 | 2"), (4, "1.0 | 1 | 2"), (4, "1.0 | 1,2"),
+        (4, "1.0 | x | 2"), (4, "1.0 | 1,2 | y")]),
+    *(("load_model", edited(MODEL, line, text)) for line, text in [
+        (1, "who knows"), (1, "sure-model 1 "), (2, "2 0 2 1.5"), (2, "2.0 1 2 1.5"),
+        (2, "2 1 2"), (2, "2 1 2 nan"), (2, "2 1 2 1e-300"), (2, "3 1 2 1.5"), (3, "x"),
+        (5, "0.1 oops"), (7, "0.5")]),
+    *(("read_labels", text) for text in ["1\nx3\n", "2.5\n", "0\n", "\n"]),
+    *(("load_values_map", text) for text in ["1 20.0\n2 abc\n", "z 20.0\n", "1 nan\n",
+                                            "1\n", "\n"]),
+]
+BAD_REPORTS = [  # report JSON texts
+    "{}\n", "[]\n", "1\n2\n", "[" * 100000,
+    *(json.dumps({**REPORT, **edit}) for edit in [
+        {"mean": True}, {"mean": "0.6"}, {"std": None}, {"folds": "2"},
+        {"per_fold_accuracy": [0.5, "x"]}, {"per_fold_accuracy": "x"},
+        {"per_fold_accuracy": [1.5, -0.7], "mean": 0.4, "std": 1.5556349186104046},
+        {"per_fold_accuracy": [1.5, 0.5], "mean": 1.0, "std": 0.7071067811865476},
+        {"per_fold_accuracy": [], "mean": 0.0}, {"folds": 3}, {"std": 5}, {"std": -0.1},
+        {"traces": [{"delta_p": [0.1]}]}]),
+    json.dumps(REPORT).replace("0.6", "NaN"), json.dumps(REPORT).replace("0.6", "1" * 400),
+]
+
+
+def input_errors(surepl, tmp):
+    """`type: message` of every bad input: the files of BAD_FILES, written to
+    `tmp`, the reports of BAD_REPORTS, bad candidate matrices given to the
+    dataset and to the confidence update, configs of the wrong class, and ints
+    and outputs beyond float64."""
+    harness = surepl.harness
+    loaders = {"load_dataset": surepl.load_dataset, "load_model": surepl.load_model,
+               "read_labels": harness.read_labels, "load_values_map": harness.load_values_map}
+    calls = []
+    for i, (loader, text) in enumerate(BAD_FILES):
+        Path(f"{tmp}/bad{i}").write_text(text, encoding="utf-8")
+        calls.append(lambda load=loaders[loader], path=f"{tmp}/bad{i}": load(path))
+    calls += [lambda text=text: harness.report_from_json(text) for text in BAD_REPORTS]
+    for Y in ([[1, 0], [0, 0]], [[1, 2], [0, 1]], [[], []], [1, 0]):
+        calls += [lambda Y=Y: surepl.PLDataset(np.zeros((2, 1)), Y),
+                  lambda Y=Y: surepl.update_confidence_matrix(np.zeros(np.shape(Y)), Y, 0.1)]
+    d = surepl.make_blobs_dataset(12, seed=0)
+    calls += [
+        lambda: surepl.cross_validate(d, "sure", surepl.KnnConfig(), 3, 0),
+        lambda: surepl.cross_validate(d, "plknn", surepl.TrainConfig(), 3, 0),
+        lambda: surepl.grid_search(d, (0.1,), (0.1,), 3, 0, base=surepl.KnnConfig()),
+        lambda: surepl.mae_at_k([0, 1], [0, 1], {0: 1.0, 1: "a"}, 1),
+        lambda: surepl.mae_at_k([0, 1], [0, 1], None, 10**400),
+        lambda: surepl.TrainConfig(lam=10**400),
+        lambda: surepl.TrainConfig(sigma_override=10**400),
+        lambda: surepl.update_confidence_matrix([[0.5, 0.5]], [[1, 1]], 10**400),
+        lambda: surepl.solve_op_exact([1e200, 0.0], [1, 1], 0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a numpy overflow warning is not the message
+        return list(map(error, calls))
 
 
 def main():
@@ -115,6 +189,8 @@ def main():
              for q, y, lam in zip(Q, Y, rng.choice([0.0, 0.05, 0.3, 1.0, 5.0], 500))]
     show("confidence", *(surepl.update_confidence_matrix(Q, Y, lam) for lam in (0.0, 0.3, 5.0)),
          *(r.p.p for r in exact), repr([(r.objective, r.anchor) for r in exact]))
+    with tempfile.TemporaryDirectory() as tmp:
+        show("input_errors", *input_errors(surepl, tmp))
 
 
 if __name__ == "__main__":
