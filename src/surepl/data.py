@@ -7,9 +7,13 @@ indices are 0-based; every file format uses 1-based labels.
 Every file surepl reads or writes (PLD datasets, models, label files, value
 maps, traces and reports) goes through one layer here: `read_lines` and
 `write_lines` (UTF-8, LF line endings), `format_float` (shortest round-trip
-decimals, so writing then reading a float is bit-exact) and `parse_floats`
-(token count, parse and finiteness).  Malformed input raises
-`FileFormatError`, whose message names the offending line.
+decimals, so writing then reading a float is bit-exact), `format_rows` (those
+decimals for the rows of a matrix) and `parse_floats` (token count, parse and
+finiteness).  Malformed input raises `FileFormatError`, whose message names
+the offending line.  Per row, `corrupt` makes one `rng.choice` call and sets
+every extra candidate in one scatter at the end; `save_dataset` formats its
+label strings once and its floats a block of rows at a time; `load_dataset`
+parses and checks each distinct candidate field once, the truth on every line.
 
 Every input rule is written once, here, and fails by a ValueError naming its
 argument: counts (`check_count`), finite reals (`check_real`), bandwidths
@@ -35,6 +39,7 @@ import numbers
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "read_lines",
     "write_lines",
     "format_float",
+    "format_rows",
     "parse_floats",
     "check_query",
     "check_count",
@@ -55,6 +61,7 @@ __all__ = [
     "check_config",
     "check_candidates",
     "is_real",
+    "check_finite",
     "read_header",
     "lock_fields",
     "InfeasibleSupportError",
@@ -63,6 +70,8 @@ __all__ = [
 ]
 
 PLD_MAGIC = "pld 1"
+# entries per block of `_row_lists`: its lists stay small beside the lines they make
+FORMAT_BLOCK = 512
 
 
 class FileFormatError(ValueError):
@@ -96,6 +105,20 @@ def write_lines(path, lines) -> None:
 def format_float(x) -> str:
     """Shortest decimal that parses back to the same float64."""
     return repr(float(x))
+
+
+def _row_lists(A):
+    """The rows of the 2-D array `A` as lists, converted one block of about
+    FORMAT_BLOCK entries at a time, so no list of the whole array is made."""
+    step = max(1, FORMAT_BLOCK // max(A.shape[1], 1))
+    for start in range(0, len(A), step):
+        yield from A[start:start + step].tolist()
+
+
+def format_rows(X):
+    """The rows of the 2-D float64 array `X`, each as its `format_float`
+    decimals joined by spaces."""
+    return map(" ".join, map(map, repeat(repr), _row_lists(X)))  # repr of a float: format_float
 
 
 def parse_floats(tokens, width: int, line: int, what: str) -> list[float]:
@@ -145,11 +168,19 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _finite(value, positive: bool) -> bool:
-    """Whether `value` is a real number (`is_real`), nonnegative (positive if
-    `positive`) and at most the largest float: not NaN, nor an int beyond it."""
+def _finite(value, positive: bool | None) -> bool:
+    """Whether `value` is a real number (`is_real`) of magnitude at most the
+    largest float (not NaN, nor an int beyond it), nonnegative, positive if
+    `positive`, or of either sign if `positive` is None."""
     top = sys.float_info.max
-    return is_real(value) and (0 < value <= top if positive else 0 <= value <= top)
+    least = -top if positive is None else 0
+    return is_real(value) and (least < value <= top if positive else least <= value <= top)
+
+
+def check_finite(value, name: str) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real number."""
+    if not _finite(value, None):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_real(value, name: str, positive: bool = False) -> None:
@@ -336,13 +367,15 @@ def corrupt(clean: PLDataset, spec: SyntheticSpec) -> PLDataset:
 
     cands = np.array(clean.candidates)
     truth = clean.truth
-    all_labels = np.arange(l)
     if spec.mode == "random":
-        for i in selected:
-            pool = all_labels[all_labels != truth[i]]
-            extra = rng.choice(pool, size=spec.r, replace=False)
-            cands[i, extra] = 1
+        # a draw from the l - 1 labels other than t depends only on their count, so
+        # each row draws positions among them, and position k is label k + (k >= t)
+        extra = np.empty((n_pl, spec.r), dtype=np.intp)
+        for k in range(n_pl):
+            extra[k] = rng.choice(l - 1, size=spec.r, replace=False)
+        cands[selected[:, None], extra + (extra >= truth[selected, None])] = 1
     else:
+        all_labels = np.arange(l)
         for i in selected:
             coupled = (truth[i] + 1) % l
             if rng.random() < spec.epsilon:
@@ -383,12 +416,15 @@ def split_folds(d: PLDataset, k: int, seed: int) -> list[tuple[np.ndarray, np.nd
 
 def save_dataset(d: PLDataset, path) -> None:
     """Write the dataset in PLD format; load_dataset inverts this bit-exactly."""
+    labels = [str(j + 1) for j in range(d.l)]  # 1-based label strings, made once
+
     def lines():
         yield from (PLD_MAGIC, f"{d.m} {d.n} {d.l}")
-        for i, row in enumerate(d.features):
-            cands = ",".join(str(j + 1) for j in np.flatnonzero(d.candidates[i]))
-            line = f"{' '.join(map(format_float, row.tolist()))} | {cands}"
-            yield line if d.truth is None else f"{line} | {d.truth[i] + 1}"
+        columns = [format_rows(d.features),
+                   (",".join(compress(labels, row)) for row in _row_lists(d.candidates))]
+        if d.truth is not None:
+            columns.append(map(labels.__getitem__, d.truth))
+        yield from map(" | ".join, zip(*columns))
 
     write_lines(path, lines())
 
@@ -406,10 +442,11 @@ def load_dataset(path) -> PLDataset:
     cand_labels: list[int] = []  # every row's 1-based candidates, row after row
     cand_counts: list[int] = []
     truth: list[int] = []
+    sets: dict[str, list[int]] = {}  # each distinct candidate field, parsed and checked once
     has_truth = lines[2].count("|") == 2
     for i, record in enumerate(lines[2:]):
         lineno = i + 3
-        parts = [s.strip() for s in record.split("|")]
+        parts = record.split("|")  # the features' split() ignores the spaces around them
         if len(parts) not in (2, 3):
             raise FileFormatError(
                 "malformed record: expected '<features> | <candidates> [| <truth>]'", lineno
@@ -418,25 +455,29 @@ def load_dataset(path) -> PLDataset:
             raise FileFormatError("inconsistent truth column", lineno)
         features.extend(parse_floats(parts[0].split(), n, lineno, "features"))
 
-        if parts[1] == "":
-            raise FileFormatError("empty candidate set", lineno)
-        try:
-            cand_idx = [int(tok) for tok in parts[1].split(",")]
-        except ValueError:
-            raise FileFormatError("invalid candidate index", lineno) from None
-        prev = 0
-        for c in cand_idx:
-            if not 1 <= c <= l:
-                raise FileFormatError(f"candidate index {c} out of range [1, {l}]", lineno)
-            if c <= prev:
-                raise FileFormatError("candidates not in strictly ascending order", lineno)
-            prev = c
+        field = parts[1].strip()
+        cand_idx = sets.get(field)
+        if cand_idx is None:  # a field seen before passed these checks on its first line
+            if field == "":
+                raise FileFormatError("empty candidate set", lineno)
+            try:
+                cand_idx = [int(tok) for tok in field.split(",")]
+            except ValueError:
+                raise FileFormatError("invalid candidate index", lineno) from None
+            prev = 0
+            for c in cand_idx:
+                if not 1 <= c <= l:
+                    raise FileFormatError(f"candidate index {c} out of range [1, {l}]", lineno)
+                if c <= prev:
+                    raise FileFormatError("candidates not in strictly ascending order", lineno)
+                prev = c
+            sets[field] = cand_idx
         cand_labels.extend(cand_idx)
         cand_counts.append(len(cand_idx))
 
         if has_truth:
             try:
-                t = int(parts[2])
+                t = int(parts[2].strip())
             except ValueError:
                 raise FileFormatError("invalid truth label", lineno) from None
             if not 1 <= t <= l:

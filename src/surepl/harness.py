@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .baselines import plknn_predict
-from .data import (FileFormatError, PLDataset, check_count, check_real, is_real, parse_floats,
-                   read_lines, split_folds, write_lines)
+from .data import (FileFormatError, PLDataset, check_count, check_finite, check_real, is_real,
+                   parse_floats, read_lines, split_folds, write_lines)
 from .training import TrainConfig, TrainTrace, predict, train, train_grid
 
 __all__ = [
@@ -69,6 +69,8 @@ def mae_at_k(pred, truth, values: dict[int, float] | None = None, k: float = 0.0
             raise ValueError(f"no value mapping for labels {sorted(missing)}")
         if not all(is_real(values[label]) for label in used):
             raise ValueError("values must map each label to a real number")
+        for label in sorted(used):
+            check_finite(values[label], f"values[{label}]")
         pv = np.array([values[int(x)] for x in pred])
         tv = np.array([values[int(x)] for x in truth])
     return float(np.mean(np.abs(pv - tv) <= k))
@@ -99,8 +101,14 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
         raise ValueError("each sample needs at least two observations")
     na, nb = a.size, b.size
     df = float(na + nb - 2)
-    ma, mb = float(a.mean()), float(b.mean())
-    sp2 = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / df
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance beyond float64 is refused
+        ma, mb = float(a.mean()), float(b.mean())
+        sums = (na - 1) * a.var(ddof=1), (nb - 1) * b.var(ddof=1)
+        sp2 = (sums[0] + sums[1]) / df
+    for name, value in zip(("sample a's variance", "sample b's variance",
+                            "the pooled variance of a and b"), (*sums, sp2)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} cannot be formed in float64, got {value}")
     if sp2 == 0.0:
         t, p = (0.0, 1.0) if ma == mb else (np.inf if ma > mb else -np.inf, 0.0)
     else:

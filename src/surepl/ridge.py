@@ -44,7 +44,7 @@ from scipy.linalg.blas import dgemm, dger
 from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
 from .data import (FileFormatError, check_query, check_real, check_sigma, format_float,
-                   lock_fields, parse_floats, read_header, read_lines, write_lines)
+                   format_rows, lock_fields, parse_floats, read_header, read_lines, write_lines)
 from .kernel import RFP, gram_matrix, packed_diagonal, row_blocks
 
 __all__ = [
@@ -284,9 +284,8 @@ def save_model(model: KernelModel, path) -> None:
     """Versioned text serialization; floats use shortest round-trip decimals."""
     m, n = model.train_X.shape
     l = model.A.shape[1]
-    rows = (" ".join(map(format_float, row.tolist()))
-            for block in (model.train_X, model.A, model.b[None, :]) for row in block)
-    write_lines(path, chain([MODEL_MAGIC, f"{m} {n} {l} {format_float(model.sigma)}"], rows))
+    rows = map(format_rows, (model.train_X, model.A, model.b[None, :]))
+    write_lines(path, chain([MODEL_MAGIC, f"{m} {n} {l} {format_float(model.sigma)}"], *rows))
 
 
 def load_model(path) -> KernelModel:

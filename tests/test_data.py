@@ -1,5 +1,6 @@
 """Dataset container, PLD format round-trips, corruption, and fold splitting."""
 
+import hashlib
 import re
 import tracemalloc
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surepl.data import (
+    FORMAT_BLOCK,
     FileFormatError,
     PLDataset,
     SyntheticSpec,
     corrupt,
+    format_float,
     load_dataset,
     read_lines,
     save_dataset,
@@ -189,6 +192,67 @@ class TestPldFormat:
         with pytest.raises(FileFormatError, match="line 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("truth, digest", [
+        (True, "2c7fe0515ac5d5eae4e7ee9d5db56d0cc74e334f38194cc14c596b57a41d981d"),
+        (False, "719049f680cbb029fbe5946dcfc707419e204c0475bbadfba52c3504af4620ca"),
+    ], ids=["truth", "no-truth"])
+    def test_edge_float_bytes_pinned(self, tmp_path, truth, digest):
+        """Signed zeros, subnormals and extreme exponents keep their shortest
+        decimals over full format blocks of rows and a part of one."""
+        edges = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0]
+        X = np.random.default_rng(4).choice(edges + [-x for x in edges], size=(700, 3))
+        assert 700 % (FORMAT_BLOCK // 3) != 0
+        pl = corrupt(singleton_dataset(700, 5, seed=9, n=3), SyntheticSpec(p=0.5, r=2, seed=3))
+        path = tmp_path / "d.pld"
+        save_dataset(PLDataset(X, pl.candidates, pl.truth if truth else None), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = load_dataset(path)
+        assert np.array_equal(np.signbit(back.features), np.signbit(X))
+        assert np.array_equal(back.features, X) and np.array_equal(back.candidates, pl.candidates)
+
+    @pytest.mark.parametrize("n", [1, 3, 700])
+    def test_bytes_match_per_row_reference(self, tmp_path, n):
+        """The block writer writes what a row-by-row `format_float` loop writes,
+        for rows narrower and wider than a block."""
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((37, n)) * 10.0 ** rng.integers(-300, 300, (37, n))
+        d = corrupt(singleton_dataset(37, 6, seed=n), SyntheticSpec(p=0.8, r=3, seed=n))
+        d = PLDataset(X, d.candidates, d.truth)
+        want = ["pld 1", f"37 {n} 6"] + [
+            f"{' '.join(map(format_float, x))} | {','.join(str(j + 1) for j in np.flatnonzero(c))}"
+            f" | {t + 1}" for x, c, t in zip(X, d.candidates, d.truth)]
+        save_dataset(d, tmp_path / "d.pld")
+        assert (tmp_path / "d.pld").read_text() == "".join(f"{line}\n" for line in want)
+
+    @pytest.mark.parametrize("field, message", [
+        ("  ", "empty candidate set"),
+        ("1,x", "invalid candidate index"),
+        ("1,4", r"candidate index 4 out of range \[1, 3\]"),
+        ("2,1", "candidates not in strictly ascending order"),
+    ])
+    def test_repeated_bad_candidates_fail_at_first_line(self, tmp_path, field, message):
+        """A bad candidate field fails where it first appears, after good fields
+        that were parsed once and reused."""
+        path = tmp_path / "bad.pld"
+        path.write_text(f"pld 1\n4 1 3\n0.0 | 1,2\n1.0 | 1,2\n2.0 | {field}\n3.0 | {field}\n")
+        with pytest.raises(FileFormatError, match=f"^{message} at line 5$"):
+            load_dataset(path)
+
+    def test_truth_checked_against_a_reused_candidate_set(self, tmp_path):
+        """The truth column is checked on every line, also where the candidate
+        field was parsed on an earlier line."""
+        path = tmp_path / "bad.pld"
+        path.write_text("pld 1\n3 1 3\n0.0 | 1,2 | 1\n1.0 |  1,2  | 2\n2.0 | 1,2 | 3\n")
+        with pytest.raises(FileFormatError, match="^truth label 3 outside candidate set at line 5$"):
+            load_dataset(path)
+
+    def test_candidate_fields_spaced_differently_load_alike(self, tmp_path):
+        path = tmp_path / "d.pld"
+        path.write_text("pld 1\n3 1 3\n0.0 | 1,3 | 3\n1.0 |  1,3 | 1\n2.0 | 1, 3 | 1\n")
+        d = load_dataset(path)
+        assert np.array_equal(d.candidates, [[1, 0, 1]] * 3)
+        assert np.array_equal(d.truth, [2, 0, 0])
+
 
 PLD_LINES = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
 MODEL_LINES = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
@@ -326,6 +390,36 @@ class TestCorrupt:
         out = corrupt(d, SyntheticSpec(p=1.0, r=1, epsilon=0.5, mode="coupled", seed=14))
         assert out.candidates[np.arange(out.m), out.truth].all()
         assert (out.candidates.sum(axis=1) == 2).all()
+
+    @pytest.mark.parametrize("spec, digest", [
+        (SyntheticSpec(p=0.6, r=1, seed=17),
+         "4df4000c6836988c78ac37bc915f2783a8f12ea63281f9371d8d8a6e27c4d498"),
+        (SyntheticSpec(p=0.6, r=2, seed=17),
+         "8d6fa845a25fb35efb4f6a90b33f560ae421b5a60e2ab3f65ce2102193b2831e"),
+        (SyntheticSpec(p=0.6, r=3, seed=17),
+         "6989368745ab03dab31c2aed96d73ca33e060601ba1e4b73c6278d18b842997b"),
+        (SyntheticSpec(p=0.8, epsilon=0.3, mode="coupled", seed=17),
+         "54e24d67f2d331c7ee6a1dc2a7e76b1fffbb3979dbb0edd3731b2b234134752c"),
+    ], ids=["r1", "r2", "r3", "coupled"])
+    def test_random_stream_pinned(self, spec, digest):
+        """A seed gives the same candidate sets as ever: every `gen` output
+        depends on this stream."""
+        out = corrupt(singleton_dataset(500, 7, seed=8), spec)
+        assert hashlib.sha256(out.candidates.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("m, l, p, r, seed", [
+        (300, 10, 0.7, 2, 0), (200, 3, 1.0, 2, 5), (150, 40, 0.3, 7, 9), (60, 2, 0.5, 1, 1),
+    ])
+    def test_random_mode_matches_per_row_pools(self, m, l, p, r, seed):
+        """Random mode draws like the reference loop that picks each row's
+        extra labels from an explicit pool of its l - 1 non-truth labels."""
+        d = singleton_dataset(m, l, seed=seed)
+        rng = np.random.default_rng(seed)
+        want = d.candidates.copy()
+        for i in rng.choice(m, size=int(round(p * m)), replace=False):
+            want[i, rng.choice(np.delete(np.arange(l), d.truth[i]), size=r, replace=False)] = 1
+        out = corrupt(d, SyntheticSpec(p=p, r=r, seed=seed))
+        assert np.array_equal(out.candidates, want)
 
     def test_deterministic_byte_for_byte(self, tmp_path):
         d = singleton_dataset(300, 5, seed=6)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestMaeAtK:
         with pytest.raises(ValueError, match="values must map each label to a real number"):
             mae_at_k([0, 1], [0, 1], {0: 1.0, 1: value}, 1)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, pytest.param(10**400, id="10**400")])
+    def test_values_must_be_finite(self, value):
+        """A non-finite mapped value fails by name, not as a numpy warning or a miss."""
+        with pytest.raises(ValueError, match=re.escape(f"values[0] must be finite, got {value}")):
+            mae_at_k([0, 1], [0, 1], {0: value, 1: 1.0}, 1)
+
+    def test_negative_values_allowed(self):
+        assert mae_at_k([0, 1], [1, 1], {0: -2.0, 1: -1.5}, 0.5) == 1.0
+
     @pytest.mark.parametrize("k", [np.nan, -1.0, np.inf, None,
                                    pytest.param(10**400, id="10**400")])
     def test_k_must_be_finite_and_nonnegative(self, k):
@@ -129,6 +139,18 @@ class TestTTest:
         assert r1.p_value == pytest.approx(r2.p_value)
         flip = {"win": "loss", "loss": "win", "tie": "tie"}
         assert r2.verdict == flip[r1.verdict]
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([1e308, -1e308], [0.0, 1.0], "sample a's variance cannot be formed in float64, got inf"),
+        ([0.0, 1.0], [1e308, 1e308], "sample b's variance cannot be formed in float64"),
+        ([np.inf, 1.0], [0.0, 1.0], "sample a's variance cannot be formed in float64, got nan"),
+        ([0.0, 1.73e154], [0.0, 1.73e154],
+         "the pooled variance of a and b cannot be formed in float64, got inf"),
+    ], ids=["a", "b", "inf", "pooled"])
+    def test_variance_beyond_float64_rejected(self, a, b, message):
+        """Samples whose variance overflows fail by name, not as a numpy warning."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            t_test_two_sample(a, b)
 
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError, match="two observations"):

@@ -1,6 +1,7 @@
 """Print one `<name> <sha256>` line per deterministic surepl output (blobs, training,
 grid search, cv reports, each CLI subcommand's files and stdout, bandwidths, the messages
-of bad calls, the confidence kernel on a wide sparse set, the messages of bad inputs);
+of bad calls, the confidence kernel on a wide sparse set, the messages of bad inputs, the
+data path's corruption and writers);
 surepl comes from this checkout's `src/`, files go to a temporary directory.  Compare
 checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`.
 To list which bad-input messages a change moves, print `input_errors` in each checkout."""
@@ -116,6 +117,23 @@ def input_errors(surepl, tmp):
         return list(map(error, calls))
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0]
+
+
+def data_path(surepl, tmp):
+    """Coupled-mode `corrupt` candidates at 700 rows, then the bytes that
+    `save_dataset` (with truth and without) and `save_model` write for
+    signed edge floats in 700 rows of 3: full format blocks and a part of one."""
+    clean = surepl.make_blobs_dataset(700, classes=7, n_features=3, seed=5)
+    pl = surepl.corrupt(clean, surepl.SyntheticSpec(p=0.8, epsilon=0.3, mode="coupled", seed=9))
+    X = np.random.default_rng(6).choice(EDGE_FLOATS + [-x for x in EDGE_FLOATS], size=(700, 3))
+    surepl.save_dataset(surepl.PLDataset(X, pl.candidates, pl.truth), f"{tmp}/truth.pld")
+    surepl.save_dataset(surepl.PLDataset(X, pl.candidates), f"{tmp}/plain.pld")
+    surepl.save_model(surepl.KernelModel(X, X[:, ::-1], X[0], 1.5), f"{tmp}/model.txt")
+    return [pl.candidates, pl.truth,
+            *(Path(f"{tmp}/{name}").read_bytes() for name in ("truth.pld", "plain.pld", "model.txt"))]
+
+
 def main():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import surepl.cli
@@ -191,6 +209,8 @@ def main():
          *(r.p.p for r in exact), repr([(r.objective, r.anchor) for r in exact]))
     with tempfile.TemporaryDirectory() as tmp:
         show("input_errors", *input_errors(surepl, tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        show("data_path", *data_path(surepl, tmp))
 
 
 if __name__ == "__main__":
