@@ -30,7 +30,7 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     `argsort(dists, kind="stable")[:, :k]`.  Distances must be finite.
     """
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(dists <= kth[:, None])
+    rows, cols = np.divmod(np.flatnonzero(dists <= kth[:, None]), dists.shape[1])
     cols = cols[np.lexsort((cols, dists[rows, cols], rows))]
     kept = np.bincount(rows, minlength=dists.shape[0])
     starts = np.cumsum(kept) - kept

@@ -9,11 +9,15 @@ maps, traces and reports) goes through one layer here: `read_lines` and
 `write_lines` (UTF-8, LF line endings), `format_float` (shortest round-trip
 decimals, so writing then reading a float is bit-exact), `format_rows` (those
 decimals for the rows of a matrix) and `parse_floats` (token count, parse and
-finiteness).  Malformed input raises `FileFormatError`, whose message names
-the offending line.  Per row, `corrupt` makes one `rng.choice` call and sets
-every extra candidate in one scatter at the end; `save_dataset` formats its
-label strings once and its floats a block of rows at a time; `load_dataset`
-parses and checks each distinct candidate field once, the truth on every line.
+finiteness).  Both line functions hold one line at a time, so a reader's
+memory grows only with the arrays it parses; `read_lines` first decodes the
+file and counts its lines in one pass, so a header's row count is checked,
+and a file that is not UTF-8 refused, before any row is parsed.  Malformed
+input raises `FileFormatError`, whose message names the offending line.  Per
+row, `corrupt` makes one `rng.choice` call and sets every extra candidate in
+one scatter at the end; `save_dataset` formats its label strings once and its
+floats a block of rows at a time; `load_dataset` parses and checks each
+distinct candidate field once, the truth on every line.
 
 Every input rule is written once, here, and fails by a ValueError naming its
 argument: counts (`check_count`), finite reals (`check_real`), bandwidths
@@ -38,8 +42,9 @@ import math
 import numbers
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -72,6 +77,8 @@ __all__ = [
 PLD_MAGIC = "pld 1"
 # entries per block of `_row_lists`: its lists stay small beside the lines they make
 FORMAT_BLOCK = 512
+# characters per block of `read_lines`' counting pass
+READ_BLOCK = 1 << 16
 
 
 class FileFormatError(ValueError):
@@ -86,11 +93,19 @@ class InfeasibleSupportError(ValueError):
     """The candidate support makes the constraint polytope empty."""
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without their line terminators (LF,
-    CRLF or CR), read line by line."""
+@contextmanager
+def read_lines(path):
+    """For a `with` block: the line count of a UTF-8 text file and an iterator
+    over its lines, without their line terminators (LF, CRLF or CR).  A first
+    pass decodes the whole file in blocks and counts its line ends, which
+    universal newlines have made LF; the iterator then reads one line at a
+    time.  The file closes when the block ends, however it ends."""
     with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+        count, last = 0, "\n"  # a last line without its LF counts too
+        while block := f.read(READ_BLOCK):
+            count, last = count + block.count("\n"), block[-1]
+        f.seek(0)
+        yield count + (last != "\n"), map(str.rstrip, f, repeat("\n"))
 
 
 def write_lines(path, lines) -> None:
@@ -137,14 +152,15 @@ def parse_floats(tokens, width: int, line: int, what: str) -> list[float]:
     return values
 
 
-def read_header(lines: list[str], magic: str, bandwidth: bool = False) -> list:
-    """[m, n, l], and sigma if `bandwidth`, from a file's `lines`: line 1 is `magic`
-    once stripped, line 2 counts of at least 1 (`check_count`) and the bandwidth
-    (`check_sigma`); else FileFormatError at line 1 or 2, with the field's message."""
-    if not lines or lines[0].strip() != magic:
+def read_header(lines, magic: str, bandwidth: bool = False) -> list:
+    """[m, n, l], and sigma if `bandwidth`, from the first two lines the iterator
+    `lines` gives: line 1 is `magic` once stripped, line 2 counts of at least 1
+    (`check_count`) and the bandwidth (`check_sigma`); else FileFormatError at
+    line 1 or 2, with the field's message."""
+    if next(lines, "").strip() != magic:
         raise FileFormatError(f"malformed header: expected {magic!r}", 1)
     names = ["m", "n", "l", "sigma"][:4 if bandwidth else 3]
-    tokens = lines[1].split() if len(lines) > 1 else []
+    tokens = next(lines, "").split()
     try:
         if len(tokens) != len(names):
             raise ValueError(f"{len(tokens)} fields")
@@ -430,61 +446,63 @@ def save_dataset(d: PLDataset, path) -> None:
 
 
 def load_dataset(path) -> PLDataset:
-    """Parse a PLD file; malformed input raises FileFormatError naming the line."""
-    lines = read_lines(path)
-    m, n, l = read_header(lines, PLD_MAGIC)
-    if len(lines) - 2 != m:
-        raise FileFormatError(
-            f"dimension mismatch: header declares {m} rows, file has {len(lines) - 2}", 2
-        )
-
+    """Parse a PLD file one line at a time; malformed input raises
+    FileFormatError naming the line."""
     features = array("d")  # flat float64 rows, without a Python float per value
     cand_labels: list[int] = []  # every row's 1-based candidates, row after row
     cand_counts: list[int] = []
     truth: list[int] = []
     sets: dict[str, list[int]] = {}  # each distinct candidate field, parsed and checked once
-    has_truth = lines[2].count("|") == 2
-    for i, record in enumerate(lines[2:]):
-        lineno = i + 3
-        parts = record.split("|")  # the features' split() ignores the spaces around them
-        if len(parts) not in (2, 3):
+    with read_lines(path) as (count, lines):
+        m, n, l = read_header(lines, PLD_MAGIC)
+        if count - 2 != m:
             raise FileFormatError(
-                "malformed record: expected '<features> | <candidates> [| <truth>]'", lineno
+                f"dimension mismatch: header declares {m} rows, file has {count - 2}", 2
             )
-        if (len(parts) == 3) != has_truth:
-            raise FileFormatError("inconsistent truth column", lineno)
-        features.extend(parse_floats(parts[0].split(), n, lineno, "features"))
+        first = next(lines)
+        has_truth = first.count("|") == 2
+        for lineno, record in enumerate(chain([first], lines), start=3):
+            parts = record.split("|")  # the features' split() ignores the spaces around them
+            if len(parts) not in (2, 3):
+                raise FileFormatError(
+                    "malformed record: expected '<features> | <candidates> [| <truth>]'", lineno
+                )
+            if (len(parts) == 3) != has_truth:
+                raise FileFormatError("inconsistent truth column", lineno)
+            features.extend(parse_floats(parts[0].split(), n, lineno, "features"))
 
-        field = parts[1].strip()
-        cand_idx = sets.get(field)
-        if cand_idx is None:  # a field seen before passed these checks on its first line
-            if field == "":
-                raise FileFormatError("empty candidate set", lineno)
-            try:
-                cand_idx = [int(tok) for tok in field.split(",")]
-            except ValueError:
-                raise FileFormatError("invalid candidate index", lineno) from None
-            prev = 0
-            for c in cand_idx:
-                if not 1 <= c <= l:
-                    raise FileFormatError(f"candidate index {c} out of range [1, {l}]", lineno)
-                if c <= prev:
-                    raise FileFormatError("candidates not in strictly ascending order", lineno)
-                prev = c
-            sets[field] = cand_idx
-        cand_labels.extend(cand_idx)
-        cand_counts.append(len(cand_idx))
+            field = parts[1].strip()
+            cand_idx = sets.get(field)
+            if cand_idx is None:  # a field seen before passed these checks on its first line
+                if field == "":
+                    raise FileFormatError("empty candidate set", lineno)
+                try:
+                    cand_idx = [int(tok) for tok in field.split(",")]
+                except ValueError:
+                    raise FileFormatError("invalid candidate index", lineno) from None
+                prev = 0
+                for c in cand_idx:
+                    if not 1 <= c <= l:
+                        raise FileFormatError(
+                            f"candidate index {c} out of range [1, {l}]", lineno
+                        )
+                    if c <= prev:
+                        raise FileFormatError("candidates not in strictly ascending order", lineno)
+                    prev = c
+                sets[field] = cand_idx
+            cand_labels.extend(cand_idx)
+            cand_counts.append(len(cand_idx))
 
-        if has_truth:
-            try:
-                t = int(parts[2].strip())
-            except ValueError:
-                raise FileFormatError("invalid truth label", lineno) from None
-            if not 1 <= t <= l:
-                raise FileFormatError(f"truth label {t} out of range [1, {l}]", lineno)
-            if t not in cand_idx:
-                raise FileFormatError(f"truth label {t} outside candidate set", lineno)
-            truth.append(t - 1)
+            if has_truth:
+                try:
+                    t = int(parts[2].strip())
+                except ValueError:
+                    raise FileFormatError("invalid truth label", lineno) from None
+                if not 1 <= t <= l:
+                    raise FileFormatError(f"truth label {t} out of range [1, {l}]", lineno)
+                if t not in cand_idx:
+                    raise FileFormatError(f"truth label {t} outside candidate set", lineno)
+                truth.append(t - 1)
 
     # allocated only once every row has parsed, so a huge header l fails here
     try:

@@ -90,8 +90,10 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
     """Two-sample t-test with pooled variance and df = n_a + n_b - 2.
 
     The two-tailed p-value comes from the regularized incomplete beta
-    function.  Degenerate samples with zero pooled variance give a tie when
-    the means agree and a win/loss with p = 0 otherwise.
+    function.  Degenerate samples with a zero standard error (a zero pooled
+    variance, or one that underflows) give a tie when the means agree and a
+    win/loss with t = +-inf and p = 0 otherwise.  So does a t, or t^2, beyond
+    float64: it is computed under `np.errstate` and overflows to +-inf.
     """
     if not (is_real(alpha) and 0 < alpha < 1):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -109,11 +111,13 @@ def t_test_two_sample(a, b, alpha: float = 0.05) -> TTestResult:
                             "the pooled variance of a and b"), (*sums, sp2)):
         if not np.isfinite(value):
             raise ValueError(f"{name} cannot be formed in float64, got {value}")
-    if sp2 == 0.0:
+    se = np.sqrt(sp2 * (1.0 / na + 1.0 / nb))
+    if se == 0.0:
         t, p = (0.0, 1.0) if ma == mb else (np.inf if ma > mb else -np.inf, 0.0)
     else:
-        t = (ma - mb) / np.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-        p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+        with np.errstate(over="ignore"):  # t = +-inf gives df / (df + t^2) = 0, so p = 0
+            t = (ma - mb) / se
+            p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     verdict = ("win" if ma > mb else "loss") if p < alpha else "tie"
     return TTestResult(float(t), df, p, verdict)
 
@@ -390,8 +394,9 @@ def _label(token: str, line: int) -> int:
 
 def read_labels(path) -> np.ndarray:
     """Parse a label file back to 0-based labels; blank lines are skipped."""
-    out = [_label(raw.strip(), lineno)
-           for lineno, raw in enumerate(read_lines(path), start=1) if raw.strip()]
+    with read_lines(path) as (_, lines):
+        out = [_label(raw.strip(), lineno)
+               for lineno, raw in enumerate(lines, start=1) if raw.strip()]
     if not out:
         raise FileFormatError("empty label file", 1)
     return np.array(out, dtype=np.int64)
@@ -400,13 +405,14 @@ def read_labels(path) -> np.ndarray:
 def load_values_map(path) -> dict[int, float]:
     """Two-column text file '<1-based label> <value>' -> {0-based label: value}."""
     values: dict[int, float] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise FileFormatError("expected '<label> <value>'", lineno)
-        values[_label(parts[0], lineno)] = parse_floats(parts[1:], 1, lineno, "value")[0]
+    with read_lines(path) as (_, lines):
+        for lineno, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise FileFormatError("expected '<label> <value>'", lineno)
+            values[_label(parts[0], lineno)] = parse_floats(parts[1:], 1, lineno, "value")[0]
     if not values:
         raise FileFormatError("empty values file", 1)
     return values

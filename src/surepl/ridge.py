@@ -43,8 +43,9 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dger
 from scipy.linalg.lapack import dlange, dpftrf, dpftrs, dppcon, dtfttp, dtrttf
 
-from .data import (FileFormatError, check_query, check_real, check_sigma, format_float,
-                   format_rows, lock_fields, parse_floats, read_header, read_lines, write_lines)
+from .data import (FileFormatError, check_count, check_query, check_real, check_sigma,
+                   format_float, format_rows, lock_fields, parse_floats, read_header, read_lines,
+                   write_lines)
 from .kernel import RFP, gram_matrix, packed_diagonal, row_blocks
 
 __all__ = [
@@ -71,8 +72,10 @@ class KernelModel:
     """Kernel scorer keeping the training instances and combination weights.
 
     Scores a query row x as sum_i A[i] * k(x, x_i) + b with the Gaussian
-    kernel of bandwidth sigma.  Holds read-only views of the float64 arrays it
-    is given, not copies: the caller's own arrays stay writable.
+    kernel of bandwidth sigma.  train_X is m x n, A m x l and b of length l,
+    with m, n and l at least 1 (`check_count`), so every model can be saved
+    and loaded.  Holds read-only views of the float64 arrays it is given, not
+    copies: the caller's own arrays stay writable.
     """
 
     train_X: np.ndarray
@@ -86,6 +89,8 @@ class KernelModel:
             raise ValueError("A must have one row per training instance")
         if b.shape != (A.shape[1],):
             raise ValueError("b must have one entry per label")
+        for name, size in zip("mnl", (*X.shape, A.shape[1])):  # sizes a model file can hold
+            check_count(size, name, 1)
         if not (np.isfinite(X).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("model parameters must be finite")
         lock_fields(self, train_X=X, A=A, b=b, sigma=float(check_sigma(self.sigma)))
@@ -289,22 +294,23 @@ def save_model(model: KernelModel, path) -> None:
 
 
 def load_model(path) -> KernelModel:
-    """Parse a model file; malformed input raises FileFormatError naming the line."""
-    lines = read_lines(path)
-    m, n, l, sigma = read_header(lines, MODEL_MAGIC, bandwidth=True)
-    if len(lines) != 2 * m + 3:
-        raise FileFormatError(
-            f"dimension mismatch: header declares {m} rows, so {2 * m + 3} lines, "
-            f"file has {len(lines)}", 2
-        )
+    """Parse a model file one line at a time; malformed input raises
+    FileFormatError naming the line."""
+    with read_lines(path) as (count, lines):
+        m, n, l, sigma = read_header(lines, MODEL_MAGIC, bandwidth=True)
+        if count != 2 * m + 3:
+            raise FileFormatError(
+                f"dimension mismatch: header declares {m} rows, so {2 * m + 3} lines, "
+                f"file has {count}", 2
+            )
 
-    def rows(start, stop, width, what):
-        flat = array("d")  # float64 rows, without a Python float per value
-        for i in range(start, stop):
-            flat.extend(parse_floats(lines[i].split(), width, i + 1, what))
-        return np.frombuffer(flat).reshape(stop - start, width)
+        def rows(start, stop, width, what):
+            flat = array("d")  # float64 rows, without a Python float per value
+            for i, line in zip(range(start, stop), lines):  # range first: no line is skipped
+                flat.extend(parse_floats(line.split(), width, i + 1, what))
+            return np.frombuffer(flat).reshape(stop - start, width)
 
-    X = rows(2, m + 2, n, "features")
-    A = rows(m + 2, 2 * m + 2, l, "weights")
-    b = rows(2 * m + 2, 2 * m + 3, l, "biases")[0]
+        X = rows(2, m + 2, n, "features")
+        A = rows(m + 2, 2 * m + 2, l, "weights")
+        b = rows(2 * m + 2, 2 * m + 3, l, "biases")[0]
     return KernelModel(X, A, b, sigma)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surepl import data
 from surepl.data import (
     FORMAT_BLOCK,
+    READ_BLOCK,
     FileFormatError,
     PLDataset,
     SyntheticSpec,
@@ -23,6 +25,7 @@ from surepl.data import (
     write_lines,
 )
 from surepl.confidence import ConfidenceVector
+from surepl.harness import load_values_map, read_labels
 from surepl.ridge import KernelModel, load_model, save_model
 
 
@@ -290,6 +293,18 @@ class TestHeaders:
                            + re.escape(f"'{usage}' at line 2")):
             load(path)
 
+    @LOADERS
+    @pytest.mark.parametrize("size", ["short", "long"])
+    def test_row_count_checked_before_any_row(self, tmp_path, load, lines, size):
+        """A file with too few or too many lines fails at line 2 on its count,
+        before a malformed row at line 3 is read."""
+        rows = [*lines[:2], "0.0 x | 1 | 1", *lines[3:]]
+        path = tmp_path / "f"
+        path.write_text("\n".join(rows[:-1] if size == "short" else [*rows, rows[-1]]) + "\n")
+        with pytest.raises(FileFormatError, match=r"^dimension mismatch: header declares 2 rows"
+                           r", .* at line 2$"):
+            load(path)
+
 
 class TestTextLines:
     """read_lines and write_lines go through the file object line by line and
@@ -302,11 +317,17 @@ class TestTextLines:
         (b"a\n\n", ["a", ""]),
         (b"\n", [""]),
         (b"", []),
+        ("\u00e9\r\n\r\r\nb".encode(), ["\u00e9", "", "", "b"]),
     ])
-    def test_read(self, tmp_path, raw, lines):
+    @pytest.mark.parametrize("block", [1, 2, READ_BLOCK])
+    def test_read(self, tmp_path, monkeypatch, raw, lines, block):
+        """The count pass agrees with the lines, also where a block of the
+        count pass ends between the CR and LF of a CRLF."""
+        monkeypatch.setattr(data, "READ_BLOCK", block)
         path = tmp_path / "t.txt"
         path.write_bytes(raw)
-        assert read_lines(path) == lines
+        with read_lines(path) as (count, got):
+            assert (count, list(got)) == (len(lines), lines)
 
     @pytest.mark.parametrize("lines, raw", [
         ([], b"\n"),  # no lines still write one empty line
@@ -336,6 +357,47 @@ class TestTextLines:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 8
+
+    @pytest.mark.parametrize("save, load", [
+        (save_dataset, load_dataset),
+        (lambda d, path: save_model(KernelModel(d.features, d.features, d.features[0], 1.0), path),
+         load_model),
+    ], ids=["dataset", "model"])
+    def test_readers_hold_no_copy_of_the_file(self, tmp_path, save, load):
+        """The loaders read one line at a time: at 20000 x 10 their peak memory
+        stays below 1.5 times the size of the file, where a list of its lines
+        would take more than twice it."""
+        path = tmp_path / "in.txt"
+        save(singleton_dataset(20000, 10, n=10), path)
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("load, text, line", [
+        (load_dataset, "pld 1\n3 1 2\n0.0 | 1 | 1\n1.0 | 1,2 | x\n2.0 | 2 | 2\n", 4),
+        (load_model, "sure-model 1\n2 1 2 1.5\n0.0\n1.0\n0.1 0.2\n0.3 x\n0.5 0.6\n", 6),
+        (read_labels, "1\n2\nx\n1\n", 3),
+        (load_values_map, "1 20.0\n2 x\n3 1.0\n", 2),
+    ], ids=["dataset", "model", "labels", "values"])
+    def test_reader_failing_mid_file_closes_it(self, tmp_path, monkeypatch, load, text, line):
+        """A reader that raises on a row has closed its file by the time the
+        error reaches the caller, not only once the error is collected."""
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(data, "open", recording_open, raising=False)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=f"at line {line}$"):
+            load(path)
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestCorrupt:

@@ -152,6 +152,18 @@ class TestTTest:
         with pytest.raises(ValueError, match=re.escape(message)):
             t_test_two_sample(a, b)
 
+    @pytest.mark.parametrize("a, b, t, df", [
+        ([1e200, 1e200], [0.0, 1e-150], np.inf, 2.0),  # t overflows
+        ([0.0, 1e-150], [1e200, 1e200], -np.inf, 2.0),
+        ([0.0] * 9 + [1e-161], [0.0] * 10, np.inf, 18.0),  # the standard error underflows
+    ], ids=["t-overflows", "t-overflows-negative", "se-underflows"])
+    def test_t_beyond_float64_is_infinite(self, a, b, t, df):
+        """A t statistic beyond float64 is +-inf with p = 0, as for zero variance,
+        not a numpy warning."""
+        res = t_test_two_sample(a, b)
+        assert (res.t_stat, res.df, res.p_value) == (t, df, 0.0)
+        assert res.verdict == ("win" if t > 0 else "loss")
+
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError, match="two observations"):
             t_test_two_sample([1.0], [1.0, 2.0])

@@ -502,6 +502,14 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="finite"):
             KernelModel(np.ones((2, 2)), np.full((2, 2), np.nan), np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("m, n, l, name", [(0, 1, 1, "m"), (2, 0, 1, "n"), (2, 1, 0, "l"),
+                                               (2, 0, 0, "n")])
+    def test_empty_sizes_refused(self, m, n, l, name):
+        """A size that a model file's header would refuse is refused at
+        construction, so every model can be saved and loaded."""
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1 and an integer, got 0$"):
+            KernelModel(np.zeros((m, n)), np.zeros((m, l)), np.zeros(l), 1.0)
+
     def test_caller_arrays_stay_writable(self):
         """The model locks views of the arrays it is given, not the arrays."""
         X, A, b = np.ones((2, 2)), np.zeros((2, 3)), np.zeros(3)

@@ -67,6 +67,9 @@ BAD_FILES = [  # (loader, text): one text per way a file can be malformed
         (1, "who knows"), (1, "sure-model 1 "), (2, "2 0 2 1.5"), (2, "2.0 1 2 1.5"),
         (2, "2 1 2"), (2, "2 1 2 nan"), (2, "2 1 2 1e-300"), (2, "3 1 2 1.5"), (3, "x"),
         (5, "0.1 oops"), (7, "0.5")]),
+    # files both short and holding a malformed row: the row count, checked first, is the error
+    ("load_dataset", edited(PLD[:3], 3, "0.0 x | 1 | 1")),
+    ("load_model", edited(MODEL[:6], 3, "x")),
     *(("read_labels", text) for text in ["1\nx3\n", "2.5\n", "0\n", "\n"]),
     *(("load_values_map", text) for text in ["1 20.0\n2 abc\n", "z 20.0\n", "1 nan\n",
                                             "1\n", "\n"]),
