@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .baselines import KnnConfig
-from .data import SyntheticSpec, corrupt, format_float, load_dataset, save_dataset, write_lines
+from .data import (SyntheticSpec, corrupt, format_float, load_dataset, read_lines, save_dataset,
+                   write_lines)
 from .harness import (
     DEFAULT_GRID,
     accuracy,
@@ -181,9 +181,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ttest(args) -> int:
-    rep_a = report_from_json(Path(args.a).read_text(encoding="utf-8"))
-    rep_b = report_from_json(Path(args.b).read_text(encoding="utf-8"))
-    res = t_test_two_sample(rep_a.per_fold_accuracy, rep_b.per_fold_accuracy, args.alpha)
+    accuracies = []
+    for path in (args.a, args.b):
+        with read_lines(path) as (_, lines):
+            accuracies.append(report_from_json("\n".join(lines)).per_fold_accuracy)
+    res = t_test_two_sample(*accuracies, args.alpha)
     print(f"t {res.t_stat!r}")
     print(f"df {res.df!r}")
     print(f"p {res.p_value!r}")

@@ -16,14 +16,15 @@ and a file that is not UTF-8 refused, before any row is parsed.  Malformed
 input raises `FileFormatError`, whose message names the offending line.  Per
 row, `corrupt` makes one `rng.choice` call and sets every extra candidate in
 one scatter at the end; `save_dataset` formats its label strings once and its
-floats a block of rows at a time; `load_dataset` parses and checks each
-distinct candidate field once, the truth on every line.
+floats a block of rows at a time; `load_dataset` parses and checks the labels
+of each distinct record tail (the text after a row's first `|`) once.
 
 Every input rule is written once, here, and fails by a ValueError naming its
 argument: counts (`check_count`), finite reals (`check_real`), bandwidths
 (`check_sigma`), configs (`check_config`), candidate matrices
-(`check_candidates`), the headers of PLD and model files (`read_header`) and
-the read-only arrays of frozen records (`lock_fields`).
+(`check_candidates`), the headers of PLD and model files (`read_header`), the
+1-based labels of every file (`parse_label`) and the read-only arrays of
+frozen records (`lock_fields`).
 
 PLD format::
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 from array import array
 from contextlib import contextmanager
@@ -59,6 +61,7 @@ __all__ = [
     "format_float",
     "format_rows",
     "parse_floats",
+    "parse_label",
     "check_query",
     "check_count",
     "check_real",
@@ -99,11 +102,17 @@ def read_lines(path):
     over its lines, without their line terminators (LF, CRLF or CR).  A first
     pass decodes the whole file in blocks and counts its line ends, which
     universal newlines have made LF; the iterator then reads one line at a
-    time.  The file closes when the block ends, however it ends."""
+    time.  The file closes when the block ends, however it ends.  A file that
+    is not UTF-8 raises FileFormatError naming the line of its first bad byte."""
     with open(path, encoding="utf-8") as f:
         count, last = 0, "\n"  # a last line without its LF counts too
-        while block := f.read(READ_BLOCK):
-            count, last = count + block.count("\n"), block[-1]
+        try:
+            while block := f.read(READ_BLOCK):
+                count, last = count + block.count("\n"), block[-1]
+        except UnicodeDecodeError as exc:  # bad bytes decode to lone surrogates below
+            with open(path, encoding="utf-8", errors="surrogateescape") as g:
+                line = next(i for i, text in enumerate(g, 1) if re.search("[\udc80-\udcff]", text))
+            raise FileFormatError(f"not UTF-8: byte {exc.object[exc.start]:#04x}", line) from None
         f.seek(0)
         yield count + (last != "\n"), map(str.rstrip, f, repeat("\n"))
 
@@ -169,6 +178,19 @@ def read_header(lines, magic: str, bandwidth: bool = False) -> list:
     except ValueError as exc:
         usage = " ".join(f"<{name}>" for name in names)
         raise FileFormatError(f"malformed header ({exc}): expected '{usage}'", 2) from None
+
+
+def parse_label(token, line: int, what: str, top: int | None = None) -> int:
+    """The 0-based label of the 1-based integer `token`, which lies in [1, top],
+    or is at least 1 if `top` is None; anything else raises FileFormatError
+    naming `line`.  `what` names the token in the message."""
+    try:
+        label = int(token)
+    except ValueError:
+        raise FileFormatError(f"invalid {what}", line) from None
+    if label < 1 or top is not None and label > top:
+        raise FileFormatError(f"{what} {label} out of range [1, {top or 'inf'}]", line)
+    return label - 1
 
 
 def check_count(value, name: str, least: int):
@@ -449,10 +471,10 @@ def load_dataset(path) -> PLDataset:
     """Parse a PLD file one line at a time; malformed input raises
     FileFormatError naming the line."""
     features = array("d")  # flat float64 rows, without a Python float per value
-    cand_labels: list[int] = []  # every row's 1-based candidates, row after row
+    cand_labels: list[int] = []  # every row's 0-based candidates, row after row
     cand_counts: list[int] = []
-    truth: list[int] = []
-    sets: dict[str, list[int]] = {}  # each distinct candidate field, parsed and checked once
+    truth: list[int | None] = []
+    tails: dict[str, tuple] = {}  # each distinct record tail, parsed and checked once
     with read_lines(path) as (count, lines):
         m, n, l = read_header(lines, PLD_MAGIC)
         if count - 2 != m:
@@ -471,38 +493,22 @@ def load_dataset(path) -> PLDataset:
                 raise FileFormatError("inconsistent truth column", lineno)
             features.extend(parse_floats(parts[0].split(), n, lineno, "features"))
 
-            field = parts[1].strip()
-            cand_idx = sets.get(field)
-            if cand_idx is None:  # a field seen before passed these checks on its first line
+            tail = record[len(parts[0]):]  # candidates and truth, from the first "|" on
+            row = tails.get(tail)
+            if row is None:  # a tail seen before passed these checks on its first line
+                field = parts[1].strip()
                 if field == "":
                     raise FileFormatError("empty candidate set", lineno)
-                try:
-                    cand_idx = [int(tok) for tok in field.split(",")]
-                except ValueError:
-                    raise FileFormatError("invalid candidate index", lineno) from None
-                prev = 0
-                for c in cand_idx:
-                    if not 1 <= c <= l:
-                        raise FileFormatError(
-                            f"candidate index {c} out of range [1, {l}]", lineno
-                        )
-                    if c <= prev:
-                        raise FileFormatError("candidates not in strictly ascending order", lineno)
-                    prev = c
-                sets[field] = cand_idx
-            cand_labels.extend(cand_idx)
-            cand_counts.append(len(cand_idx))
-
-            if has_truth:
-                try:
-                    t = int(parts[2].strip())
-                except ValueError:
-                    raise FileFormatError("invalid truth label", lineno) from None
-                if not 1 <= t <= l:
-                    raise FileFormatError(f"truth label {t} out of range [1, {l}]", lineno)
-                if t not in cand_idx:
-                    raise FileFormatError(f"truth label {t} outside candidate set", lineno)
-                truth.append(t - 1)
+                labels = [parse_label(c, lineno, "candidate index", l) for c in field.split(",")]
+                if any(a >= b for a, b in zip(labels, labels[1:])):
+                    raise FileFormatError("candidates not in strictly ascending order", lineno)
+                t = parse_label(parts[2], lineno, "truth label", l) if has_truth else None
+                if has_truth and t not in labels:
+                    raise FileFormatError(f"truth label {t + 1} outside candidate set", lineno)
+                row = tails[tail] = labels, t
+            cand_labels.extend(row[0])
+            cand_counts.append(len(row[0]))
+            truth.append(row[1])
 
     # allocated only once every row has parsed, so a huge header l fails here
     try:
@@ -511,6 +517,6 @@ def load_dataset(path) -> PLDataset:
         raise FileFormatError(
             f"cannot allocate the declared {m} x {l} candidate matrix", 2
         ) from None
-    candidates[np.repeat(np.arange(m), cand_counts), np.array(cand_labels) - 1] = 1
+    candidates[np.repeat(np.arange(m), cand_counts), cand_labels] = 1
     return PLDataset(np.frombuffer(features).reshape(m, n), candidates,
                      np.array(truth) if has_truth else None)

@@ -17,7 +17,7 @@ from scipy.special import betainc
 
 from .baselines import plknn_predict
 from .data import (FileFormatError, PLDataset, check_count, check_finite, check_real, is_real,
-                   parse_floats, read_lines, split_folds, write_lines)
+                   parse_floats, parse_label, read_lines, split_folds, write_lines)
 from .training import TrainConfig, TrainTrace, predict, train, train_grid
 
 __all__ = [
@@ -381,25 +381,14 @@ def write_labels(path, labels) -> None:
     write_lines(path, [str(int(v) + 1) for v in np.asarray(labels)])
 
 
-def _label(token: str, line: int) -> int:
-    """The 0-based label of a 1-based label token."""
-    try:
-        v = int(token)
-    except ValueError:
-        raise FileFormatError(f"label {token!r} is not an integer", line) from None
-    if v < 1:
-        raise FileFormatError("label must be >= 1", line)
-    return v - 1
-
-
 def read_labels(path) -> np.ndarray:
     """Parse a label file back to 0-based labels; blank lines are skipped."""
     with read_lines(path) as (_, lines):
-        out = [_label(raw.strip(), lineno)
-               for lineno, raw in enumerate(lines, start=1) if raw.strip()]
-    if not out:
+        out = np.fromiter((parse_label(raw, lineno, "label")
+                           for lineno, raw in enumerate(lines, start=1) if raw.strip()), np.int64)
+    if not len(out):
         raise FileFormatError("empty label file", 1)
-    return np.array(out, dtype=np.int64)
+    return out
 
 
 def load_values_map(path) -> dict[int, float]:
@@ -412,7 +401,8 @@ def load_values_map(path) -> dict[int, float]:
                 continue
             if len(parts) != 2:
                 raise FileFormatError("expected '<label> <value>'", lineno)
-            values[_label(parts[0], lineno)] = parse_floats(parts[1:], 1, lineno, "value")[0]
+            value = parse_floats(parts[1:], 1, lineno, "value")[0]
+            values[parse_label(parts[0], lineno, "label")] = value
     if not values:
         raise FileFormatError("empty values file", 1)
     return values

@@ -273,6 +273,9 @@ MALFORMED_DATA = [
      "1.0 | 1,100000000000000000000000 | 1\n", 2),
     (_with(VALID_DATA, 2, "2 0 2"), 2),
     (_with(VALID_DATA, 2, "2.0 1 2"), 2),
+    (_with(VALID_DATA, 4, "1.0 | 1,2 | 2\u00e9").encode("latin-1"), 4),  # not UTF-8
+    (_with(VALID_DATA, 3, "0.0 | 1 | 1\u00e9").replace("\n", "\r\n").encode("latin-1"), 3),
+    (_with(VALID_DATA, 4, "1.0 | 1,2 |"), 4),
 ]
 # every command that reads a PLD file
 DATA_COMMANDS = ("train", "gen", "cv-plknn", "cv-sure", "grid")
@@ -303,6 +306,13 @@ MALFORMED_INPUTS = [
     ("eval", "values", "1 20.0\n2 abc\n", 2),
     ("eval", "values", "z 20.0\n2 22.5\n", 1),
     ("eval", "values", "1 20.0\n2 nan\n", 2),
+    ("eval", "truth", "-1\n1\n", 1),
+    # not UTF-8: Latin-1 bytes, at the line universal newlines count
+    ("predict", "model", _with(VALID_MODEL, 6, "0.3 0.4\u00e9").encode("latin-1"), 6),
+    ("eval", "pred", "1\r2\u00e9\r".encode("latin-1"), 2),
+    ("eval", "values", "1 20.0\r\n\u00e92 22.5\r\n".encode("latin-1"), 2),
+    ("ttest", "report", VALID_REPORT.replace('"plknn"', '"pl\u00e9knn"').encode("latin-1"),
+     "not UTF-8: byte 0xe9 at line 1"),
     ("ttest", "report", "{}\n", "'algo'"),
     ("ttest", "report", "[]\n", "JSON object"),
     ("ttest", "report", VALID_REPORT.replace('"per_fold_accuracy": [0.5, 0.7], ', ""),
@@ -310,6 +320,9 @@ MALFORMED_INPUTS = [
     ("ttest", "report", VALID_REPORT.replace('"mean": 0.6', '"mean": NaN'), "finite"),
     ("ttest", "report", VALID_REPORT.replace("[0.5, 0.7]", "[]"), "must not be empty"),
     ("ttest", "report", "1\n2\n", "invalid report JSON (Extra data) at line 2"),
+    # a report cut short is named at its last line, not at the line after its last LF
+    ("ttest", "report", '{"algo": "plknn",\n',
+     "invalid report JSON (Expecting property name enclosed in double quotes) at line 1"),
     pytest.param("ttest", "report", "[" * 100000, "nested too deeply",
                  id="ttest-report-deeply-nested"),
 ]
@@ -416,7 +429,7 @@ class TestErrorPaths:
                  "report": VALID_REPORT}
         files[target] = text
         for name, body in files.items():
-            (tmp_path / name).write_text(body)
+            (tmp_path / name).write_bytes(body if isinstance(body, bytes) else body.encode())
         data, report = str(tmp_path / "data"), str(tmp_path / "report")
         cv = ["cv", "--data", data, "--folds", "2", "--seed", "0",
               "--report", str(tmp_path / "out.json"), "--algo"]

@@ -19,6 +19,7 @@ from surepl.data import (
     corrupt,
     format_float,
     load_dataset,
+    parse_label,
     read_lines,
     save_dataset,
     split_folds,
@@ -256,11 +257,115 @@ class TestPldFormat:
         assert np.array_equal(d.candidates, [[1, 0, 1]] * 3)
         assert np.array_equal(d.truth, [2, 0, 0])
 
+    def test_record_tails_spaced_differently_load_alike(self, tmp_path):
+        """Tails that differ only in spacing are distinct keys of the tail
+        cache, each parsed to the same labels."""
+        path = tmp_path / "d.pld"
+        path.write_text("pld 1\n4 1 3\n0.0 | 1,3 | 3\n1.0 |1,3|3\n2.0 |  1, 3 |  3  \n"
+                        "3.0 | 1,3 | 3\t\n")
+        d = load_dataset(path)
+        assert np.array_equal(d.candidates, [[1, 0, 1]] * 4)
+        assert np.array_equal(d.truth, [2] * 4)
+
+    def test_each_distinct_tail_parsed_once(self, tmp_path, monkeypatch):
+        """A tail first seen on a good line is reused: its labels are parsed
+        on that line only, and its rows load as the first one did."""
+        calls = []
+
+        def counting_parse_label(*args):
+            calls.append(args[0])
+            return parse_label(*args)
+
+        monkeypatch.setattr(data, "parse_label", counting_parse_label)
+        path = tmp_path / "d.pld"
+        rows = ["| 1,2 | 2", "| 3 | 3", "| 1,2 | 1"] * 3
+        path.write_text("pld 1\n9 1 3\n" + "".join(f"{i}.0 {tail}\n" for i, tail in enumerate(rows)))
+        d = load_dataset(path)
+        assert calls == ["1", "2", " 2", "3", " 3", "1", "2", " 1"]
+        assert np.array_equal(d.candidates, [[1, 1, 0], [0, 0, 1], [1, 1, 0]] * 3)
+        assert np.array_equal(d.truth, [1, 2, 0] * 3)
+
+    @pytest.mark.parametrize("record, message", [
+        ("0.0 | 1 |", "invalid truth label"),  # an empty truth field is not "no truth"
+        ("0.0 | 1 |  ", "invalid truth label"),
+        ("0.0 | 1 | 0", r"truth label 0 out of range \[1, 2\]"),
+        ("0.0 | 1 | 3", r"truth label 3 out of range \[1, 2\]"),
+        ("0.0 | 1 | 1.0", "invalid truth label"),
+        ("0.0 | 1 | 2", "truth label 2 outside candidate set"),
+        ("0.0 | 0", r"candidate index 0 out of range \[1, 2\]"),
+        ("0.0 | 1,-1", r"candidate index -1 out of range \[1, 2\]"),
+        ("0.0 | 1,,2", "invalid candidate index"),
+    ])
+    def test_label_messages(self, tmp_path, record, message):
+        """The candidate and truth messages, each at the line of its record,
+        also where the same tail loaded on a line before."""
+        path = tmp_path / "bad.pld"
+        good = "1.0 | 1 | 1" if record.count("|") == 2 else "1.0 | 1"
+        path.write_text(f"pld 1\n2 1 2\n{good}\n{record}\n")
+        with pytest.raises(FileFormatError, match=f"^{message} at line 4$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ("5,x", r"candidate index 5 out of range \[1, 3\]"),
+        ("x,5", "invalid candidate index"),
+        ("2,1,x", "invalid candidate index"),
+        ("2,1,5", r"candidate index 5 out of range \[1, 3\]"),
+        ("1,3,2", "candidates not in strictly ascending order"),
+        ("1,1", "candidates not in strictly ascending order"),
+    ])
+    def test_tokens_checked_left_to_right_then_order(self, tmp_path, field, message):
+        """Each candidate token is parsed and range-checked from the left, and
+        the order of the candidates is checked once every token has passed."""
+        path = tmp_path / "bad.pld"
+        path.write_text(f"pld 1\n1 1 3\n0.0 | {field}\n")
+        with pytest.raises(FileFormatError, match=f"^{message} at line 3$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("tail", ["| 1 | 1", "| 5 | 1", "| 1 | 1 | 1"])
+    def test_features_reported_before_a_new_tail(self, tmp_path, tail):
+        """Bad features are reported, whether the line's tail is one seen
+        before, a new bad one or a malformed one after the record checks."""
+        path = tmp_path / "bad.pld"
+        path.write_text(f"pld 1\n2 1 2\n0.0 | 1 | 1\nx {tail}\n")
+        message = ("malformed record" if tail.count("|") > 2
+                   else r"invalid features \(could not convert string to float: 'x'\)")
+        with pytest.raises(FileFormatError, match=f"^{message}.* at line 4$"):
+            load_dataset(path)
+
+    def test_record_without_bar_after_good_lines(self, tmp_path):
+        """A record without `|` never matches a cached tail."""
+        path = tmp_path / "bad.pld"
+        path.write_text("pld 1\n2 1 2\n0.0 | 1\n1.0\n")
+        with pytest.raises(FileFormatError, match="^malformed record: .* at line 4$"):
+            load_dataset(path)
+
 
 PLD_LINES = ["pld 1", "2 1 2", "0.0 | 1 | 1", "1.0 | 1,2 | 2"]
 MODEL_LINES = ["sure-model 1", "2 1 2 1.5", "0.0", "1.0", "0.1 0.2", "0.3 0.4", "0.5 0.6"]
 LOADERS = pytest.mark.parametrize("load, lines", [(load_dataset, PLD_LINES),
                                                   (load_model, MODEL_LINES)], ids=["pld", "model"])
+
+
+class TestParseLabel:
+    """One rule for the 1-based labels of every file format."""
+
+    @pytest.mark.parametrize("token, top, label", [
+        ("1", 3, 0), ("3", 3, 2), (" 3 ", None, 2), ("\t7\n", 7, 6), ("12", None, 11),
+    ])
+    def test_label(self, token, top, label):
+        assert parse_label(token, 9, "label", top) == label
+
+    @pytest.mark.parametrize("token, top, message", [
+        ("0", None, r"label 0 out of range \[1, inf\]"),
+        ("-1", None, r"label -1 out of range \[1, inf\]"),
+        ("4", 3, r"label 4 out of range \[1, 3\]"),
+        ("2.5", None, "invalid label"),
+        ("x", 3, "invalid label"),
+        ("", None, "invalid label"),
+    ])
+    def test_bad_token_named_at_line(self, token, top, message):
+        with pytest.raises(FileFormatError, match=f"^{message} at line 9$"):
+            parse_label(token, 9, "label", top)
 
 
 class TestHeaders:
@@ -328,6 +433,26 @@ class TestTextLines:
         path.write_bytes(raw)
         with read_lines(path) as (count, got):
             assert (count, list(got)) == (len(lines), lines)
+
+    @pytest.mark.parametrize("raw, byte, line", [
+        (b"a\nb\xe9\n", 0xE9, 2),
+        (b"a\r\nb\r\n\xc3", 0xC3, 3),  # a sequence cut short by the end of the file
+        (b"1\r2\r3\xff\r", 0xFF, 3),
+        ("\u00e9\r\n".encode() + b"\x80", 0x80, 2),
+        (b"\r\n" * 5000 + b"\xe9", 0xE9, 5001),
+        (b"a" * 8191 + b"\xc3(\n", 0xC3, 1),  # a sequence across the decoder's 8 KiB chunks
+        (b"a" * 8191 + b"\r\n\xed\xa0\x80", 0xED, 2),  # an encoded surrogate is no UTF-8
+    ])
+    @pytest.mark.parametrize("block", [1, READ_BLOCK])
+    def test_not_utf8_names_line(self, tmp_path, monkeypatch, raw, byte, line, block):
+        """A file that is not UTF-8 fails before its lines are given, naming its
+        first bad byte and that byte's line, counted as universal newlines count."""
+        monkeypatch.setattr(data, "READ_BLOCK", block)
+        path = tmp_path / "t.txt"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match=f"^not UTF-8: byte {byte:#04x} at line {line}$"):
+            with read_lines(path):
+                pass
 
     @pytest.mark.parametrize("lines, raw", [
         ([], b"\n"),  # no lines still write one empty line

@@ -3,13 +3,14 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from surepl.baselines import KnnConfig
-from surepl.data import PLDataset, SyntheticSpec, corrupt
+from surepl.data import FileFormatError, PLDataset, SyntheticSpec, corrupt
 from surepl.harness import (
     ExperimentReport,
     accuracy,
@@ -415,6 +416,44 @@ class TestLabelFiles:
         with pytest.raises(ValueError, match="line 1"):
             read_labels(path)
 
+    @pytest.mark.parametrize("token, message", [
+        ("0", r"label 0 out of range \[1, inf\]"),
+        ("-1", r"label -1 out of range \[1, inf\]"),
+        ("2.5", "invalid label"),
+        ("x", "invalid label"),
+    ])
+    def test_bad_label_messages_shared(self, tmp_path, token, message):
+        """Label files and value maps give the messages of `data.parse_label`."""
+        path = tmp_path / "f.txt"
+        path.write_text(f"2\n{token}\n")
+        with pytest.raises(FileFormatError, match=f"^{message} at line 2$"):
+            read_labels(path)
+        path.write_text(f"2 1.0\n{token} 2.0\n")
+        with pytest.raises(FileFormatError, match=f"^{message} at line 2$"):
+            load_values_map(path)
+
+    def test_spaced_label_tokens(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(" 3 \n\t1\n\n 2\n")
+        assert np.array_equal(read_labels(path), [2, 0, 1])
+        path.write_text(" 3  7.5\n\t1 2.0 \n")
+        assert load_values_map(path) == {2: 7.5, 0: 2.0}
+
+    def test_read_labels_holds_no_list(self, tmp_path):
+        """The labels go straight into their array: at 20000 labels the peak
+        memory stays below 1.5 times the array, where a list of them would
+        take more than twice it."""
+        path = tmp_path / "labels.txt"
+        write_labels(path, np.arange(20000) % 10)
+        tracemalloc.start()
+        try:
+            labels = read_labels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, np.arange(20000) % 10)
+        assert peak < 1.5 * labels.nbytes
+
     def test_values_map(self, tmp_path):
         path = tmp_path / "values.txt"
         path.write_text("1 20.5\n2 31.0\n")
@@ -424,6 +463,12 @@ class TestLabelFiles:
         path = tmp_path / "values.txt"
         path.write_text("1 2 3\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_values_map(path)
+
+    def test_values_map_value_fault_before_label_fault(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("z abc\n")
+        with pytest.raises(FileFormatError, match="^invalid value .* at line 1$"):
             load_values_map(path)
 
 

@@ -4,7 +4,8 @@ of bad calls, the confidence kernel on a wide sparse set, the messages of bad in
 data path's corruption and writers);
 surepl comes from this checkout's `src/`, files go to a temporary directory.  Compare
 checkouts at one BLAS thread count: `OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py`.
-To list which bad-input messages a change moves, print `input_errors` in each checkout."""
+To list which bad-input messages a change moves, diff `tools/fingerprint.py --messages`, which
+prints the messages behind `input_errors` one per line, across checkouts."""
 
 import contextlib
 import hashlib
@@ -57,12 +58,12 @@ def edited(lines, line, text):
     return "".join(f"{t}\n" for t in lines[:line - 1] + [text] + lines[line:])
 
 
-BAD_FILES = [  # (loader, text): one text per way a file can be malformed
+BAD_FILES = [  # (loader, text or bytes): one file per way a file can be malformed
     *(("load_dataset", edited(PLD, line, text)) for line, text in [
         (1, "nope"), (1, "pld 1 "), (2, "2 0 2"), (2, "2.0 1 2"), (2, "2 1"), (2, "3 1 2"),
         (2, "2 1 1000000000000"), (3, "nan | 1 | 1"), (3, "0.0 1 | 1 | 1"), (4, "1.0 |  "),
         (4, "1.0 | 2,1 | 2"), (4, "1.0 | 1,3 | 2"), (4, "1.0 | 1 | 2"), (4, "1.0 | 1,2"),
-        (4, "1.0 | x | 2"), (4, "1.0 | 1,2 | y")]),
+        (4, "1.0 | x | 2"), (4, "1.0 | 1,2 | y"), (3, "0.0 | 1 |")]),
     *(("load_model", edited(MODEL, line, text)) for line, text in [
         (1, "who knows"), (1, "sure-model 1 "), (2, "2 0 2 1.5"), (2, "2.0 1 2 1.5"),
         (2, "2 1 2"), (2, "2 1 2 nan"), (2, "2 1 2 1e-300"), (2, "3 1 2 1.5"), (3, "x"),
@@ -70,9 +71,14 @@ BAD_FILES = [  # (loader, text): one text per way a file can be malformed
     # files both short and holding a malformed row: the row count, checked first, is the error
     ("load_dataset", edited(PLD[:3], 3, "0.0 x | 1 | 1")),
     ("load_model", edited(MODEL[:6], 3, "x")),
-    *(("read_labels", text) for text in ["1\nx3\n", "2.5\n", "0\n", "\n"]),
+    *(("read_labels", text) for text in ["1\nx3\n", "2.5\n", "0\n", "-1\n", "\n"]),
     *(("load_values_map", text) for text in ["1 20.0\n2 abc\n", "z 20.0\n", "1 nan\n",
                                             "1\n", "\n"]),
+    # not UTF-8: Latin-1 bytes, at a line counted across LF, CRLF and CR line ends
+    ("load_dataset", edited(PLD, 4, "1.0 | 1,2 | 2\u00e9").encode("latin-1")),
+    ("load_model", edited(MODEL, 5, "0.1 0.2\u00e9").replace("\n", "\r\n").encode("latin-1")),
+    ("read_labels", "1\r2\r\u00e93\r".encode("latin-1")),
+    ("load_values_map", "1 20.0\n2 2\u00e9.5\n".encode("latin-1")),
 ]
 BAD_REPORTS = [  # report JSON texts
     "{}\n", "[]\n", "1\n2\n", "[" * 100000,
@@ -97,7 +103,7 @@ def input_errors(surepl, tmp):
                "read_labels": harness.read_labels, "load_values_map": harness.load_values_map}
     calls = []
     for i, (loader, text) in enumerate(BAD_FILES):
-        Path(f"{tmp}/bad{i}").write_text(text, encoding="utf-8")
+        Path(f"{tmp}/bad{i}").write_bytes(text if isinstance(text, bytes) else text.encode())
         calls.append(lambda load=loaders[loader], path=f"{tmp}/bad{i}": load(path))
     calls += [lambda text=text: harness.report_from_json(text) for text in BAD_REPORTS]
     for Y in ([[1, 0], [0, 0]], [[1, 2], [0, 1]], [[], []], [1, 0]):
@@ -140,6 +146,11 @@ def data_path(surepl, tmp):
 def main():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import surepl.cli
+
+    if sys.argv[1:] == ["--messages"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.write("".join(input_errors(surepl, tmp)))
+        return
 
     spec = surepl.SyntheticSpec(p=0.7, r=2, seed=1)
     clean = surepl.make_blobs_dataset(1000, classes=10, n_features=10, seed=0)
